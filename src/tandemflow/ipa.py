@@ -18,7 +18,9 @@ each such moving jump contributes its height times the epoch's shift rate.
 d x_1/d theta_2 is structurally zero: queue 1 never sees queue 2.
 
 All rules read one-sided limits off the event annotations; nothing here
-re-simulates or replays trajectories.
+re-simulates or replays trajectories.  `simcore.simulate` applies the same
+rules online to produce each trajectory's `jac`; this log-driven version is
+the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .simcore import (
     INTERNAL_RATE_JUMP,
     RED_START,
     Event,
+    JacobianEstimate,
     TandemTrajectory,
 )
 
@@ -73,65 +76,14 @@ class DiagIpaAccumulator:
 
 @dataclass(slots=True)
 class CrossIpaAccumulator:
-    """d x_2 / d theta_1: queue 2's sensitivity to queue 1's red duration.
-
-    g1 and g2 are read-only gauges of the staircase-service contribution
-    accrued since the last anchoring event (the green onset contained in
-    queue 1's current busy period, or that period's start when it began
-    mid-green).  They are identically zero under constant-rate service and
-    are not inputs to the value recursion, which books each staircase step
-    as it happens.
-
-    flagged_busy_starts counts queue 2 busy starts attributed to a queue 1
-    emptying.  No mechanism in the model produces that attribution, so the
-    handling (epoch shift borrowed from the emptying's own shift rate) is
-    defensive; a nonzero count deserves a look at the scenario.
-    """
+    """d x_2 / d theta_1: queue 2's sensitivity to queue 1's red duration."""
 
     current_value: float = 0.0
     running_integral: float = 0.0
     busy2: bool = False
-    g1: float = 0.0
-    g2: float = 0.0
-    flagged_busy_starts: int = 0
     t_prev: float = NAN
-    _release_rate: float = 0.0  # epoch shift of the latest queue 1 emptying
-    _anchor_mode: int = 0  # 0 none, 1 green onset, 2 busy start mid-green
-    _anchor_beta: float = 0.0
-    _beta1: float = 0.0
 
-    def advance_to(self, t: float) -> None:
-        if math.isnan(self.t_prev):
-            raise ValueError("accumulator not initialized; feed the opening window marker first")
-        if t < self.t_prev:
-            raise ValueError(f"time went backwards: {t!r} < {self.t_prev!r}")
-        self.running_integral += self.current_value * (t - self.t_prev)
-        self.t_prev = t
-
-    def _refresh_gauges(self, phi: float) -> None:
-        self.g1 = phi * (self._anchor_beta - self._beta1) if self._anchor_mode == 1 else 0.0
-        self.g2 = phi * (self._anchor_beta - self._beta1) if self._anchor_mode == 2 else 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class JacobianEstimate:
-    """Window-averaged sensitivity matrix dG/dtheta.
-
-    Lower triangular by construction: queue 1 is upstream, so j12 is an
-    exact structural zero, not a computed small number.
-    """
-
-    j11: float
-    j21: float
-    j22: float
-    window: float
-
-    @property
-    def j12(self) -> float:
-        return 0.0
-
-    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.j11, 0.0), (self.j21, self.j22))
+    advance_to = DiagIpaAccumulator.advance_to
 
 
 def _marker_init_diag(acc: DiagIpaAccumulator, ev: Event) -> None:
@@ -207,11 +159,6 @@ def cross_on_event(
         acc.busy2 = ev.busy2_r
         acc.current_value = 0.0
         acc.running_integral = 0.0
-        acc._release_rate = 0.0
-        acc._anchor_mode = 0
-        acc._anchor_beta = 0.0
-        acc._beta1 = ev.b1_r
-        acc._refresh_gauges(phi)
         acc.t_prev = ev.epoch
         return acc
     acc.advance_to(ev.epoch)
@@ -227,61 +174,30 @@ def cross_on_event(
         else:
             # Queue 1 drains out: the perturbation stored in its content is
             # released into queue 2's inflow at a shifting epoch.
-            drain = ev.b1_l - ev.a1_l
-            acc._release_rate = diag1.current_value / drain if drain > 0.0 else 0.0
             if acc.busy2:
                 acc.current_value += phi * diag1.current_value
-            acc._anchor_mode = 0
-            acc._refresh_gauges(phi)
         return acc
 
     if kind == BUSY_START:
         if queue == 2:
             acc.busy2 = True
             tk, tq = ev.trigger_kind, ev.trigger_queue
+            if tq == 1 and tk == EMPTY_START:
+                raise ValueError(
+                    f"busy start of queue 2 at {ev.epoch!r} triggered by an emptying of "
+                    "queue 1; simulate never records that trigger")
             if tq == 1 and (tk == GREEN_START or tk == INTERNAL_RATE_JUMP):
-                shift = 1.0  # onset rides queue 1's red duration one for one
-            elif tq == 1 and tk == EMPTY_START:
-                shift = acc._release_rate
-                acc.flagged_busy_starts += 1
-            else:
-                shift = 0.0
-            if shift != 0.0:
-                acc.current_value = -(ev.alpha2_r - ev.b2_r) * shift
+                # The onset rides queue 1's red duration one for one.
+                acc.current_value = -(ev.alpha2_r - ev.b2_r)
             else:
                 acc.current_value = 0.0
-        else:
-            # Queue 1 filling never shifts with theta_1; no value change.
-            acc._beta1 = ev.b1_r
-            if ev.green1_r:
-                acc._anchor_mode = 2
-                acc._anchor_beta = ev.b1_r
-            else:
-                acc._anchor_mode = 0
-            acc._refresh_gauges(phi)
+        # A queue 1 filling never shifts with theta_1; no value change.
         return acc
 
-    if queue == 1:
-        if kind == GREEN_START:
-            if acc.busy2:
-                acc.current_value += ev.alpha2_l - ev.alpha2_r
-            acc._beta1 = ev.b1_r
-            if ev.busy1_l:
-                acc._anchor_mode = 1
-                acc._anchor_beta = ev.b1_r
-            else:
-                acc._anchor_mode = 0
-            acc._refresh_gauges(phi)
-        elif kind == INTERNAL_RATE_JUMP:
-            if acc.busy2:
-                acc.current_value += ev.alpha2_l - ev.alpha2_r
-            acc._beta1 = ev.b1_r
-            acc._refresh_gauges(phi)
-        elif kind == RED_START:
-            # Fixed-epoch inflow drop: no sensitivity carried.
-            acc._beta1 = ev.b1_r
-            acc._anchor_mode = 0
-            acc._refresh_gauges(phi)
+    # Queue 1's green onsets and service steps move a jump of queue 2's
+    # inflow; its red onsets drop the inflow at a fixed epoch.
+    if queue == 1 and (kind == GREEN_START or kind == INTERNAL_RATE_JUMP) and acc.busy2:
+        acc.current_value += ev.alpha2_l - ev.alpha2_r
     return acc
 
 
@@ -302,54 +218,12 @@ def assemble_jacobian(
     )
 
 
-def diag_closed_form(t: float, events: list[Event], queue: int = 1) -> float:
-    """d x_q / d theta_q at time t evaluated directly from the log.
-
-    Re-derives the busy span containing t and tallies the red onsets it
-    survived, using the same arithmetic and operation order as the running
-    accumulator, so the two agree exactly rather than approximately.
-    Events at epoch t are included (right-limit convention).
-    """
-    if not events:
-        raise ValueError("empty event log")
-    if not (events[0].epoch <= t <= events[-1].epoch):
-        raise ValueError(
-            f"t={t!r} outside the logged span [{events[0].epoch!r}, {events[-1].epoch!r}]")
-    busy = False
-    cycle_sum = 0.0
-    beta_at_start = 0.0
-    beta_t = 0.0
-    for i, ev in enumerate(events):
-        if ev.epoch > t:
-            break
-        b_r = ev.b1_r if queue == 1 else ev.b2_r
-        beta_t = b_r
-        kind = ev.kind
-        if i == 0:
-            busy = ev.busy1_r if queue == 1 else ev.busy2_r
-            if busy:
-                cycle_sum = 0.0
-                beta_at_start = b_r
-            continue
-        if ev.queue != queue:
-            continue
-        if kind == BUSY_START:
-            busy = True
-            cycle_sum = 0.0
-            beta_at_start = b_r
-        elif kind == EMPTY_START:
-            busy = False
-        elif kind == RED_START and busy:
-            cycle_sum += ev.b1_l if queue == 1 else ev.b2_l
-    if not busy:
-        return 0.0
-    return (cycle_sum + beta_t) - beta_at_start
-
-
 def run_window(
     traj: TandemTrajectory,
 ) -> tuple[JacobianEstimate, DiagIpaAccumulator, DiagIpaAccumulator, CrossIpaAccumulator]:
     """Drive fresh accumulators over a simulated window's event log."""
+    if not traj.events:
+        raise ValueError("trajectory has no event log; simulate it with log=True")
     d1 = DiagIpaAccumulator(queue=1)
     d2 = DiagIpaAccumulator(queue=2)
     cx = CrossIpaAccumulator()

@@ -1,6 +1,7 @@
 """Finite-difference cross-checks for the analytic Jacobian estimator.
 
-The estimator in `ipa` produces exact sample-path derivatives, so an
+The estimator audited is the one the controller uses: the Jacobian that
+`simulate` computes online.  It produces exact sample-path derivatives, so an
 independent oracle is easy to state: rerun the simulator with the red
 durations nudged by ±h against the same input realizations and difference
 the window averages.  Central differences are only valid where the event
@@ -18,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ipa import JacobianEstimate, run_window
 from .scenario import OnOffSpec, gen_onoff
 from .simcore import (
+    JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
     constant_rate,
-    queue_integral,
     simulate,
 )
 
@@ -78,15 +78,14 @@ def _window(scn: GradScenario, theta1: float, theta2: float):
     plan = PhasePlan(scn.plan.c1, scn.plan.c2, theta1, theta2)
     traj = simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
                     scn.phi, scn.x0, scn.horizon, t0=scn.t0)
-    g1, g2 = queue_integral(traj, scn.t0, scn.horizon)
+    g1, g2 = traj.y
     sig = tuple((ev.kind, ev.queue) for ev in traj.events)
     return g1, g2, sig, traj
 
 
 def analytic_jacobian(scn: GradScenario) -> JacobianEstimate:
     _, _, _, traj = _window(scn, scn.plan.theta1, scn.plan.theta2)
-    jac, _, _, _ = run_window(traj)
-    return jac
+    return traj.jac
 
 
 def fd_jacobian(scn: GradScenario, h: float):

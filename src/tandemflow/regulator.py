@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .ipa import JacobianEstimate, run_window
-from .simcore import PhasePlan, PiecewiseConstantRate, ServiceProfile, queue_integral, simulate
+from .simcore import JacobianEstimate, PhasePlan, PiecewiseConstantRate, ServiceProfile, simulate
 
 Matrix = tuple[tuple[float, float], tuple[float, float]]
 
@@ -215,7 +214,8 @@ def make_traffic_plant(
     T = cycles_per_control * c1, and the queue contents carry over between
     windows.  Window boundaries align with light 1's cycle starts; when the
     two cycle lengths differ, light 2's in-progress phase at a boundary is
-    re-evaluated under the incoming theta_2.
+    re-evaluated under the incoming theta_2.  y and J come from the
+    simulator's online pass; no event log is built.
     """
     if cycles_per_control < 1:
         raise ValueError(f"cycles_per_control must be >= 1, got {cycles_per_control!r}")
@@ -227,10 +227,8 @@ def make_traffic_plant(
         t0 = (k - 1) * t_window
         t1 = k * t_window
         traj = simulate(arrivals1, arrivals2_tilde, plan, service, phi,
-                        (x_state[0], x_state[1]), t1, t0=t0)
+                        (x_state[0], x_state[1]), t1, t0=t0, log=False)
         x_state[0], x_state[1] = traj.end_state()
-        y = queue_integral(traj, t0, t1)
-        jac, _, _, _ = run_window(traj)
-        return y, jac
+        return traj.y, traj.jac
 
     return plant

@@ -141,6 +141,10 @@ class ExperimentConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v!r}")
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
             raise ConfigError(f"mode must be {CENTRALIZED!r} or {DECENTRALIZED!r}, got {self.mode!r}")
         if self.service_mode != "constant":

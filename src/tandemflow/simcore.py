@@ -7,9 +7,12 @@ piecewise linear and every event epoch (light switch, rate jump, queue
 emptying or filling) is computed in closed form.  There is no time stepping:
 the trajectory is exact up to floating-point rounding.
 
-The simulator emits an annotated event log carrying one-sided limits of every
-rate at every discontinuity.  Downstream consumers (sensitivity accumulators,
-finite-difference checks) work from that log alone.
+While it applies each event batch, the simulator also computes the window
+outputs online: the time-averaged contents y by exact trapezoid sums, and the
+sample-path Jacobian J by the same diagonal and cross rules that `ipa` applies
+to a logged window.  On request it also returns the annotated event log, with
+one-sided limits of every rate at every discontinuity, which the
+finite-difference audit and the log-driven reference implementation read.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ KIND_NAMES = {
     CONTROL_CYCLE_BOUNDARY: "ControlCycleBoundary",
 }
 
-# Process labels for exogenous rate jumps.
-PROC_ALPHA1 = "alpha1"
-PROC_ALPHA2_TILDE = "alpha2_tilde"
-
-
 @dataclass(frozen=True, slots=True)
 class PhasePlan:
     """Fixed-cycle light timing for both intersections.
@@ -63,12 +61,6 @@ class PhasePlan:
                 raise ValueError(f"c{i} must be a positive finite cycle length, got {c!r}")
             if not (0.0 < th < c):
                 raise ValueError(f"theta{i}={th!r} outside the open interval (0, c{i}={c!r})")
-
-    def cycle(self, queue: int) -> float:
-        return self.c1 if queue == 1 else self.c2
-
-    def red(self, queue: int) -> float:
-        return self.theta1 if queue == 1 else self.theta2
 
 
 class PiecewiseConstantRate:
@@ -169,8 +161,7 @@ class Event:
     in a fixed priority order (light switches, exogenous jumps, internal
     jumps, emptyings, fillings; queue 1 before queue 2) and each event's
     limits bracket its own change only, so per-event jumps never double
-    count a coincident change.  `alpha2` is the merged inflow to queue 2,
-    `d1` the instantaneous outflow of queue 1.
+    count a coincident change.  `alpha2` is the merged inflow to queue 2.
 
     BusyStart events record the event that switched their queue's net
     inflow positive in trigger_kind / trigger_queue (trigger_kind == -1
@@ -180,7 +171,6 @@ class Event:
     epoch: float
     kind: int
     queue: int
-    process: str
     x1: float
     x2: float
     busy1_l: bool
@@ -199,21 +189,43 @@ class Event:
     b1_r: float
     b2_l: float
     b2_r: float
-    d1_l: float
-    d1_r: float
     alpha2_l: float
     alpha2_r: float
     trigger_kind: int = -1
     trigger_queue: int = 0
 
 
+@dataclass(frozen=True, slots=True)
+class JacobianEstimate:
+    """Window-averaged sensitivity matrix dG/dtheta.
+
+    Lower triangular by construction: queue 1 is upstream, so j12 is an
+    exact structural zero, not a computed small number.
+    """
+
+    j11: float
+    j21: float
+    j22: float
+    window: float
+
+    @property
+    def j12(self) -> float:
+        return 0.0
+
+    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return ((self.j11, 0.0), (self.j21, self.j22))
+
+
 @dataclass(slots=True)
 class TandemTrajectory:
     """Exact piecewise-linear sample path over [t0, t1).
 
-    breakpoints holds (epoch, x1, x2) at t0, at every event epoch and at t1;
-    events is the annotated log, bracketed by ControlCycleBoundary markers
-    whose annotations give the state entering and leaving the window.
+    x_end is the state at t1, y the time-averaged contents over the window
+    and jac the window's sample-path Jacobian.  When the log is requested,
+    breakpoints holds (epoch, x1, x2) at t0, at every event epoch and at t1,
+    and events is the annotated log, bracketed by ControlCycleBoundary
+    markers whose annotations give the state entering and leaving the
+    window; otherwise both lists are empty.
     """
 
     t0: float
@@ -221,13 +233,17 @@ class TandemTrajectory:
     phi: float
     breakpoints: list[tuple[float, float, float]]
     events: list[Event]
+    x_end: tuple[float, float]
+    y: tuple[float, float]
+    jac: JacobianEstimate
 
     def end_state(self) -> tuple[float, float]:
-        _, x1, x2 = self.breakpoints[-1]
-        return (x1, x2)
+        return self.x_end
 
     def state_at(self, t: float) -> tuple[float, float]:
         """Linear interpolation of (x1, x2); exact at breakpoints."""
+        if not self.breakpoints:
+            raise ValueError("trajectory has no breakpoints; simulate it with log=True")
         if not (self.t0 <= t <= self.t1):
             raise ValueError(f"t={t!r} outside [{self.t0!r}, {self.t1!r}]")
         pts = self.breakpoints
@@ -239,18 +255,6 @@ class TandemTrajectory:
         tk, y1, y2 = pts[j + 1]
         w = (t - tj) / (tk - tj)
         return (x1 + w * (y1 - x1), x2 + w * (y2 - x2))
-
-
-def outflow_rate(x: float, alpha: float, beta: float) -> float:
-    """Instantaneous departure rate of a queue: beta while backed up, else
-    the arrivals pass straight through."""
-    return beta if x > 0.0 else alpha
-
-
-def merge_inflow(delta1: float, alpha2_tilde: float, phi: float) -> float:
-    """Inflow to queue 2: fraction phi of queue 1's outflow plus the side
-    street's own arrivals."""
-    return phi * delta1 + alpha2_tilde
 
 
 def build_switch_epochs(plan: PhasePlan, horizon: float, t0: float = 0.0):
@@ -299,6 +303,38 @@ def _phase_at_left(c: float, th: float, t0: float) -> tuple[bool, float]:
     return (True, k * c + th)
 
 
+def _green_rate(ramp: PiecewiseConstantRate | None, bmax: float, elapsed: float) -> float:
+    """Service rate `elapsed` after a green onset."""
+    if ramp is None:
+        return bmax
+    return ramp.rates[bisect_right(ramp.epochs, elapsed) - 1]
+
+
+def _pending_steps(ramp: PiecewiseConstantRate | None, onset: float, after: float,
+                   horizon: float) -> tuple[list[float], list[float]]:
+    """Staircase steps of the green interval begun at onset: the absolute
+    epochs in (after, horizon) and their rates."""
+    eps: list[float] = []
+    vals: list[float] = []
+    if ramp is not None:
+        for off, v in zip(ramp.epochs, ramp.rates):
+            e = onset + off
+            if after < e < horizon:
+                eps.append(e)
+                vals.append(v)
+    return eps, vals
+
+
+def _event(t, kind, queue, x1, x2, phi, left, right, tk=-1, tq=0) -> Event:
+    """Log entry from the limits on either side of one change, each given as
+    (a1, a2t, b1, b2, green1, green2, busy1, busy2)."""
+    la1, la2t, lb1, lb2, lg1, lg2, lbz1, lbz2 = left
+    a1, a2t, b1, b2, g1, g2, bz1, bz2 = right
+    return Event(t, kind, queue, x1, x2, lbz1, bz1, lbz2, bz2, lg1, g1, lg2, g2,
+                 la1, a1, la2t, a2t, lb1, b1, lb2, b2,
+                 phi * (lb1 if lbz1 else la1) + la2t, phi * (b1 if bz1 else a1) + a2t, tk, tq)
+
+
 def simulate(
     arrivals1: PiecewiseConstantRate,
     arrivals2_tilde: PiecewiseConstantRate,
@@ -308,6 +344,8 @@ def simulate(
     x0: tuple[float, float],
     horizon: float,
     t0: float = 0.0,
+    *,
+    log: bool = True,
 ) -> TandemTrajectory:
     """Run the tandem system exactly over the window [t0, horizon).
 
@@ -317,6 +355,11 @@ def simulate(
     exact zero.  The log is bracketed by ControlCycleBoundary markers: the
     opening marker carries the state entering the window (before any events
     at t0), the closing one the state at the horizon.
+
+    The window outputs y and jac are computed in the same pass, bit for bit
+    equal to `queue_integral` and `ipa.run_window` over the log.  With
+    log=False the event log and the breakpoints are not built (both lists
+    stay empty), which is all a closed-loop plant needs.
     """
     if not (0.0 <= t0 < horizon):
         raise ValueError(f"need 0 <= t0 < horizon, got t0={t0!r} horizon={horizon!r}")
@@ -329,7 +372,7 @@ def simulate(
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError(f"initial queue contents must be nonnegative, got {x0!r}")
 
-    is_ramp = service.mode == "ramp"
+    ramp1, ramp2 = service.ramp1, service.ramp2  # None under constant service
     bmax1, bmax2 = service.beta_max1, service.beta_max2
 
     # Light switch schedule and pre-window phases.
@@ -339,38 +382,13 @@ def simulate(
     green1, onset1 = _phase_at_left(plan.c1, plan.theta1, t0)
     green2, onset2 = _phase_at_left(plan.c2, plan.theta2, t0)
 
-    # Staircase step schedules for the current green interval (absolute
-    # epochs strictly after t0; the onset value itself is not a step).
-    st1e: list[float] = []
-    st1v: list[float] = []
-    st2e: list[float] = []
-    st2v: list[float] = []
-
-    def _green_rate(queue: int, onset: float) -> float:
-        if not is_ramp:
-            return bmax1 if queue == 1 else bmax2
-        ramp = service.ramp1 if queue == 1 else service.ramp2
-        el = t0 - onset
-        return ramp.rates[bisect_right(ramp.epochs, el) - 1]
-
-    def _pending_steps(queue: int, onset: float, after: float):
-        if not is_ramp:
-            return [], []
-        ramp = service.ramp1 if queue == 1 else service.ramp2
-        eps, vals = [], []
-        for off, v in zip(ramp.epochs, ramp.rates):
-            e = onset + off
-            if e > after and e < horizon:
-                eps.append(e)
-                vals.append(v)
-        return eps, vals
-
-    b1 = _green_rate(1, onset1) if green1 else 0.0
-    b2 = _green_rate(2, onset2) if green2 else 0.0
-    if green1:
-        st1e, st1v = _pending_steps(1, onset1, t0)
-    if green2:
-        st2e, st2v = _pending_steps(2, onset2, t0)
+    # Service rates and the staircase step schedules of the current green
+    # intervals (absolute epochs strictly after t0; the onset value itself
+    # is not a step).
+    b1 = _green_rate(ramp1, bmax1, t0 - onset1) if green1 else 0.0
+    b2 = _green_rate(ramp2, bmax2, t0 - onset2) if green2 else 0.0
+    st1e, st1v = _pending_steps(ramp1, onset1, t0, horizon) if green1 else ([], [])
+    st2e, st2v = _pending_steps(ramp2, onset2, t0, horizon) if green2 else ([], [])
     ist1 = ist2 = 0
 
     # Exogenous arrival pointers; entries at exactly t0 are pending events.
@@ -388,16 +406,24 @@ def simulate(
     events: list[Event] = []
     breakpoints: list[tuple[float, float, float]] = []
     append_event = events.append
+    if log:
+        # Opening marker: the state entering the window, both limits equal.
+        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
+        append_event(_event(t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, left, left))
 
-    d1 = b1 if busy1 else a1
-    al2 = phi * d1 + a2t
-
-    # Opening marker: the state entering the window, both limits equal.
-    append_event(Event(
-        t0, CONTROL_CYCLE_BOUNDARY, 0, "", x1, x2,
-        busy1, busy1, busy2, busy2, green1, green1, green2, green2,
-        a1, a1, a2t, a2t, b1, b1, b2, b2, d1, d1, al2, al2,
-    ))
+    # Online window outputs.  Trapezoid sums q1, q2 of the contents, with
+    # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
+    # v22 = dx2/dtheta2 and v21 = dx2/dtheta1 with their integrals r11, r22,
+    # r21 up to tp, the latest event epoch; cs/bs are the diagonal rules'
+    # survived-red tally and busy-start service rate (see ipa.diag_on_event).
+    q1 = q2 = 0.0
+    xl1, xl2 = x1, x2
+    v11 = v22 = v21 = 0.0
+    r11 = r22 = r21 = 0.0
+    tp = t0
+    cs1 = cs2 = 0.0
+    bs1 = b1 if busy1 else 0.0
+    bs2 = b2 if busy2 else 0.0
 
     t = t0
     first_batch = True
@@ -410,6 +436,7 @@ def simulate(
         if first_batch:
             # Events scheduled exactly at t0 are applied before any motion.
             cand = t0
+            dt = 0.0
             pred1 = pred2 = INF
             first_batch = False
         else:
@@ -467,135 +494,194 @@ def simulate(
         at_end = cand == horizon
 
         # ---- batch at epoch t: fixed priority order ----
+        # After each light switch, exogenous jump and queue 1 staircase step,
+        # the first one that turns an idle queue's net inflow positive is
+        # recorded as the trigger of that queue's busy start.  IPA values are
+        # integrated up to t only when the batch holds an event (hit), with
+        # their values from before the batch, as the log-driven rules do.
         trig1k = trig2k = -1
         trig1q = trig2q = 0
-
-        def _check_triggers(kind: int, queue: int) -> None:
-            nonlocal trig1k, trig1q, trig2k, trig2q
-            if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
-                trig1k, trig1q = kind, queue
-            if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
-                trig2k, trig2q = kind, queue
-
-        def _emit(kind, queue, proc, la1, la2t, lb1, lb2, lg1, lg2, lbz1, lbz2,
-                  tk=-1, tq=0):
-            ld1 = lb1 if lbz1 else la1
-            nd1 = b1 if busy1 else a1
-            append_event(Event(
-                t, kind, queue, proc, x1, x2,
-                lbz1, busy1, lbz2, busy2, lg1, green1, lg2, green2,
-                la1, a1, la2t, a2t, lb1, b1, lb2, b2,
-                ld1, nd1, phi * ld1 + la2t, phi * nd1 + a2t,
-                tk, tq,
-            ))
+        hit = at_end or empt1 or empt2
+        p11, p22, p21 = v11, v22, v21
 
         if not at_end:
             # Light switches.
             while isw < nsw and sw[isw][0] == t:
                 _, kind, queue = sw[isw]
                 isw += 1
-                la1, la2t, lb1, lb2 = a1, a2t, b1, b2
-                lg1, lg2, lbz1, lbz2 = green1, green2, busy1, busy2
+                hit = True
+                if log:
+                    left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
+                # IPA rules: a red onset books the service it cuts off into
+                # the survived-red tally; queue 1's green onset moves a jump
+                # of queue 2's inflow.
                 if queue == 1:
+                    lb1 = b1
                     if kind == GREEN_START:
-                        green1, onset1 = True, t
-                        b1 = (service.ramp1.rates[0] if is_ramp else bmax1)
-                        st1e, st1v = _pending_steps(1, t, t)
+                        green1 = True
+                        b1 = _green_rate(ramp1, bmax1, 0.0)
+                        st1e, st1v = _pending_steps(ramp1, t, t, horizon)
                         ist1 = 0
+                        if busy2:
+                            d1 = lb1 if busy1 else a1
+                            v21 += (phi * d1 + a2t) - (phi * (b1 if busy1 else a1) + a2t)
                     else:
                         green1, b1 = False, 0.0
                         ist1 = len(st1e)
+                        if busy1:
+                            cs1 += lb1
+                    if busy1:
+                        v11 = (cs1 + b1) - bs1
                 else:
+                    lb2 = b2
                     if kind == GREEN_START:
-                        green2, onset2 = True, t
-                        b2 = (service.ramp2.rates[0] if is_ramp else bmax2)
-                        st2e, st2v = _pending_steps(2, t, t)
+                        green2 = True
+                        b2 = _green_rate(ramp2, bmax2, 0.0)
+                        st2e, st2v = _pending_steps(ramp2, t, t, horizon)
                         ist2 = 0
                     else:
                         green2, b2 = False, 0.0
                         ist2 = len(st2e)
-                _check_triggers(kind, queue)
-                _emit(kind, queue, "", la1, la2t, lb1, lb2, lg1, lg2, lbz1, lbz2)
+                        if busy2:
+                            cs2 += lb2
+                    if busy2:
+                        v22 = (cs2 + b2) - bs2
+                if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
+                    trig1k, trig1q = kind, queue
+                if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
+                    trig2k, trig2q = kind, queue
+                if log:
+                    append_event(_event(t, kind, queue, x1, x2, phi, left,
+                                        (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
 
             # Exogenous rate jumps (skipped when the value does not change).
             while ia1 < na1 and a1eps[ia1] == t:
                 new = a1rates[ia1]
                 ia1 += 1
                 if new != a1:
-                    la1, la2t, lb1, lb2 = a1, a2t, b1, b2
+                    hit = True
+                    if log:
+                        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
                     a1 = new
-                    _check_triggers(EXO_RATE_JUMP, 1)
-                    _emit(EXO_RATE_JUMP, 1, PROC_ALPHA1, la1, la2t, lb1, lb2,
-                          green1, green2, busy1, busy2)
+                    if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
+                        trig1k, trig1q = EXO_RATE_JUMP, 1
+                    if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
+                        trig2k, trig2q = EXO_RATE_JUMP, 1
+                    if log:
+                        append_event(_event(t, EXO_RATE_JUMP, 1, x1, x2, phi, left,
+                                            (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
             while ia2 < na2 and a2eps[ia2] == t:
                 new = a2rates[ia2]
                 ia2 += 1
                 if new != a2t:
-                    la1, la2t, lb1, lb2 = a1, a2t, b1, b2
+                    hit = True
+                    if log:
+                        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
                     a2t = new
-                    _check_triggers(EXO_RATE_JUMP, 2)
-                    _emit(EXO_RATE_JUMP, 2, PROC_ALPHA2_TILDE, la1, la2t, lb1, lb2,
-                          green1, green2, busy1, busy2)
+                    if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
+                        trig1k, trig1q = EXO_RATE_JUMP, 2
+                    if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
+                        trig2k, trig2q = EXO_RATE_JUMP, 2
+                    if log:
+                        append_event(_event(t, EXO_RATE_JUMP, 2, x1, x2, phi, left,
+                                            (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
 
             # Service staircase steps; only visible while the queue is busy.
             while ist1 < len(st1e) and st1e[ist1] == t:
                 new = st1v[ist1]
                 ist1 += 1
                 if new != b1:
-                    la1, la2t, lb1, lb2 = a1, a2t, b1, b2
+                    lb1 = b1
                     b1 = new
                     if busy1:
-                        _check_triggers(INTERNAL_RATE_JUMP, 1)
-                        _emit(INTERNAL_RATE_JUMP, 1, "", la1, la2t, lb1, lb2,
-                              green1, green2, busy1, busy2)
+                        hit = True
+                        if busy2:
+                            v21 += (phi * lb1 + a2t) - (phi * b1 + a2t)
+                        v11 = (cs1 + b1) - bs1
+                        if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
+                            trig2k, trig2q = INTERNAL_RATE_JUMP, 1
+                        if log:
+                            append_event(_event(t, INTERNAL_RATE_JUMP, 1, x1, x2, phi,
+                                                (a1, a2t, lb1, b2, green1, green2, True, busy2),
+                                                (a1, a2t, b1, b2, green1, green2, True, busy2)))
             while ist2 < len(st2e) and st2e[ist2] == t:
                 new = st2v[ist2]
                 ist2 += 1
                 if new != b2:
-                    la1, la2t, lb1, lb2 = a1, a2t, b1, b2
+                    lb2 = b2
                     b2 = new
                     if busy2:
-                        _emit(INTERNAL_RATE_JUMP, 2, "", la1, la2t, lb1, lb2,
-                              green1, green2, busy1, busy2)
+                        hit = True
+                        v22 = (cs2 + b2) - bs2
+                        if log:
+                            append_event(_event(t, INTERNAL_RATE_JUMP, 2, x1, x2, phi,
+                                                (a1, a2t, b1, lb2, green1, green2, busy1, True),
+                                                (a1, a2t, b1, b2, green1, green2, busy1, True)))
 
         # Emptyings determined by drainage up to t (also logged at the horizon).
         if empt1:
-            lbz1 = busy1
             busy1 = False
-            _emit(EMPTY_START, 1, "", a1, a2t, b1, b2, green1, green2, lbz1, busy2)
+            if busy2:
+                v21 += phi * v11  # queue 1's stored perturbation moves on
+            v11 = 0.0
+            if log:
+                append_event(_event(t, EMPTY_START, 1, x1, x2, phi,
+                                    (a1, a2t, b1, b2, green1, green2, True, busy2),
+                                    (a1, a2t, b1, b2, green1, green2, False, busy2)))
         if empt2:
-            lbz2 = busy2
             busy2 = False
-            _emit(EMPTY_START, 2, "", a1, a2t, b1, b2, green1, green2, busy1, lbz2)
+            v22 = v21 = 0.0
+            if log:
+                append_event(_event(t, EMPTY_START, 2, x1, x2, phi,
+                                    (a1, a2t, b1, b2, green1, green2, busy1, True),
+                                    (a1, a2t, b1, b2, green1, green2, busy1, False)))
 
         # Fillings, evaluated on the post-batch rates; queue 1 may cascade
         # into queue 2 through its outflow jump.
         if not at_end:
             if not busy1 and a1 - b1 > 0.0:
-                lbz1 = busy1
-                busy1 = True
+                hit = busy1 = True
+                cs1, bs1, v11 = 0.0, b1, 0.0
                 if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
                     trig2k, trig2q = BUSY_START, 1
-                _emit(BUSY_START, 1, "", a1, a2t, b1, b2, green1, green2, lbz1, busy2,
-                      trig1k, trig1q)
+                if log:
+                    append_event(_event(t, BUSY_START, 1, x1, x2, phi,
+                                        (a1, a2t, b1, b2, green1, green2, False, busy2),
+                                        (a1, a2t, b1, b2, green1, green2, True, busy2),
+                                        trig1k, trig1q))
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
-                lbz2 = busy2
-                busy2 = True
-                _emit(BUSY_START, 2, "", a1, a2t, b1, b2, green1, green2, busy1, lbz2,
-                      trig2k, trig2q)
+                hit = busy2 = True
+                cs2, bs2, v22 = 0.0, b2, 0.0
+                if trig2q == 1 and (trig2k == GREEN_START or trig2k == INTERNAL_RATE_JUMP):
+                    # The onset rides queue 1's red duration one for one.
+                    v21 = -((phi * (b1 if busy1 else a1) + a2t) - b2)
+                else:
+                    v21 = 0.0
+                if log:
+                    append_event(_event(t, BUSY_START, 2, x1, x2, phi,
+                                        (a1, a2t, b1, b2, green1, green2, busy1, False),
+                                        (a1, a2t, b1, b2, green1, green2, busy1, True),
+                                        trig2k, trig2q))
 
-        breakpoints.append((t, x1, x2))
+        q1 += 0.5 * (xl1 + x1) * dt
+        q2 += 0.5 * (xl2 + x2) * dt
+        xl1, xl2 = x1, x2
+        if hit:
+            r11 += p11 * (t - tp)
+            r22 += p22 * (t - tp)
+            r21 += p21 * (t - tp)
+            tp = t
+        if log:
+            breakpoints.append((t, x1, x2))
         if at_end:
-            d1 = b1 if busy1 else a1
-            al2 = phi * d1 + a2t
-            append_event(Event(
-                t, CONTROL_CYCLE_BOUNDARY, 0, "", x1, x2,
-                busy1, busy1, busy2, busy2, green1, green1, green2, green2,
-                a1, a1, a2t, a2t, b1, b1, b2, b2, d1, d1, al2, al2,
-            ))
             break
 
-    return TandemTrajectory(t0, horizon, phi, breakpoints, events)
+    if log:
+        right = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
+        append_event(_event(t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, right, right))
+    w = horizon - t0
+    return TandemTrajectory(t0, horizon, phi, breakpoints, events, (x1, x2),
+                            (q1 / w, q2 / w), JacobianEstimate(r11 / w, r21 / w, r22 / w, w))
 
 
 def queue_integral(traj: TandemTrajectory, t_a: float, t_b: float) -> tuple[float, float]:

@@ -104,6 +104,15 @@ class TestExitCodes:
         assert main(["run", "--config", str(p)]) == 2
         assert "phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["eps_j", "r1", "step_cap", "theta_max_frac",
+                                     "beta_max1", "c1"])
+    def test_non_finite_config_value(self, tmp_path, capsys, key):
+        for value in ("inf", "nan"):
+            p = tmp_path / "bad.cfg"
+            p.write_text(f"{key} = {value}\n")
+            assert main(["run", "--config", str(p)]) == 2
+            assert f"config error: {key} must be finite" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 

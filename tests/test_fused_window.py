@@ -1,0 +1,128 @@
+"""simulate's online window outputs against the log-driven reference.
+
+simulate computes each window's averages y, Jacobian J and end state in the
+pass that applies the events.  queue_integral over the breakpoints and
+ipa.run_window over the event log are the reference implementation: the
+two must agree bit for bit, with the log built or not, on every window of a
+reduced table1 sweep and of both gradient-oracle batteries.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from tandemflow.cli import DEFAULT_ZETAS
+from tandemflow.ipa import run_window
+from tandemflow.oracle import (
+    DEFAULT_DET_H,
+    DEFAULT_STOCH_H,
+    deterministic_scenarios,
+    stochastic_scenarios,
+)
+from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
+from tandemflow.scenario import default_paper_config, run_replication
+from tandemflow.simcore import (
+    PhasePlan,
+    PiecewiseConstantRate,
+    ServiceProfile,
+    constant_rate,
+    queue_integral,
+    simulate,
+)
+
+SWEEP_WINDOWS = 10
+
+
+def bits(*xs):
+    """Exact identity of floats, telling -0.0 from 0.0."""
+    return tuple(float(x).hex() for x in xs)
+
+
+def fused(traj):
+    jac = traj.jac
+    return bits(*traj.y, jac.j11, jac.j21, jac.j22, jac.window, *traj.end_state())
+
+
+def reference(traj):
+    jac, *_ = run_window(traj)
+    _, x1, x2 = traj.breakpoints[-1]
+    return bits(*queue_integral(traj, traj.t0, traj.t1),
+                jac.j11, jac.j21, jac.j22, jac.window, x1, x2)
+
+
+def check_window(a1, a2t, plan, service, phi, x0, horizon, t0):
+    logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
+    bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
+    assert fused(logged) == reference(logged)
+    assert fused(bare) == fused(logged)
+    assert bare.events == [] and bare.breakpoints == []
+    return bare
+
+
+@pytest.mark.parametrize("zeta", DEFAULT_ZETAS)
+def test_reduced_table1_sweep(zeta):
+    # Replay each closed-loop run's theta sequence window by window.
+    base = dataclasses.replace(default_paper_config(), num_control_cycles=SWEEP_WINDOWS,
+                               alpha1_zeta=zeta, alpha2_zeta=zeta)
+    for mode in (CENTRALIZED, DECENTRALIZED):
+        cfg = dataclasses.replace(base, mode=mode)
+        records = run_replication(cfg)
+        assert len(records) == SWEEP_WINDOWS
+        a1, a2t = cfg.arrival_pair(0)
+        t_window = cfg.cycles_per_control * cfg.c1
+        x = (0.0, 0.0)
+        for rec in records:
+            plan = PhasePlan(cfg.c1, cfg.c2, *rec.theta)
+            traj = check_window(a1, a2t, plan, cfg.service_profile(), cfg.phi, x,
+                                rec.k * t_window, (rec.k - 1) * t_window)
+            jac = rec.jac
+            assert bits(*rec.y, jac.j11, jac.j21, jac.j22) == \
+                bits(*traj.y, traj.jac.j11, traj.jac.j21, traj.jac.j22)
+            x = traj.end_state()
+
+
+def test_oracle_battery_windows():
+    # The nominal and the four perturbed windows of every audited scenario.
+    det = deterministic_scenarios()
+    assert {"ramp-service", "ramp-heavy", "unequal-cycles", "midstream-start"} <= \
+        {s.name for s in det}
+    cases = [(s, DEFAULT_DET_H) for s in det] + \
+        [(s, DEFAULT_STOCH_H) for s in stochastic_scenarios()]
+    for scn, h in cases:
+        th1, th2 = scn.plan.theta1, scn.plan.theta2
+        for d1, d2 in ((0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
+            plan = PhasePlan(scn.plan.c1, scn.plan.c2, th1 + d1, th2 + d2)
+            check_window(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
+                         scn.phi, scn.x0, scn.horizon, scn.t0)
+
+
+def test_idle_staircase_steps_do_not_split_the_integrals():
+    # Queue 1 drains early in each green, so its later service steps log no
+    # event while the busy queue 2 carries nonzero sensitivities: the online
+    # integrals must span those steps in one piece, as the log does.
+    ramp = ServiceProfile(
+        "ramp", 5.0, 5.0,
+        ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.1, 4.0), (0.25, 5.0)], 2.0),
+        ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 2.0))
+    rng = random.Random(5)
+    for _ in range(60):
+        h = 6.0
+        plan = PhasePlan(1.0, rng.choice([1.0, 1.3]), rng.uniform(0.2, 0.6),
+                         rng.uniform(0.1, 0.5))
+        check_window(constant_rate(rng.uniform(0.1, 1.0), h),
+                     constant_rate(rng.uniform(3.0, 5.5), h), plan, ramp,
+                     rng.uniform(0.3, 1.0), (0.0, rng.uniform(0.0, 2.0)), h, 0.0)
+
+
+def test_reference_passes_need_the_log():
+    plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
+    traj = simulate(constant_rate(2.0, 1.0), constant_rate(0.0, 1.0), plan,
+                    default_paper_config().service_profile(), 1.0, (0.0, 0.0), 1.0,
+                    log=False)
+    with pytest.raises(ValueError, match="log=True"):
+        queue_integral(traj, 0.0, 1.0)
+    with pytest.raises(ValueError, match="log=True"):
+        traj.state_at(0.5)
+    with pytest.raises(ValueError, match="log=True"):
+        run_window(traj)

@@ -87,14 +87,17 @@ class TestBatteries:
         assert any(not e.flagged for r in reports for e in r.entries)
 
     def test_corrupted_estimator_fails_the_battery(self, monkeypatch):
-        real = oracle.run_window
+        # Skew the Jacobian the simulator computes online, which is the
+        # estimate the oracle audits.
+        real = oracle.simulate
 
-        def skewed(traj):
-            jac, d1, d2, cx = real(traj)
-            bad = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22, jac.window)
-            return bad, d1, d2, cx
+        def skewed(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            jac = traj.jac
+            traj.jac = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22, jac.window)
+            return traj
 
-        monkeypatch.setattr(oracle, "run_window", skewed)
+        monkeypatch.setattr(oracle, "simulate", skewed)
         report = grad_check(single_cycle_scenario(0.6), 0.01, DEFAULT_DET_TOL)
         assert not report.ok
         bad_entries = [e.entry for e in report.entries

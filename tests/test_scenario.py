@@ -165,6 +165,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="phi"):
             parse_config("phi = 1.5\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                     if isinstance(f.default, float)])
+    def test_non_finite_values_name_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            parse_config(f"{key} = {value}\n")
+
     def test_text_roundtrip(self):
         cfg = dataclasses.replace(default_paper_config(), seed=17,
                                   alpha1_zeta=0.25, mode=DECENTRALIZED)

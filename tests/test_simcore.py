@@ -15,13 +15,23 @@ from tandemflow.simcore import (
     ServiceProfile,
     build_switch_epochs,
     constant_rate,
-    merge_inflow,
-    outflow_rate,
     queue_integral,
     simulate,
 )
 
 CONST5 = ServiceProfile("constant", 5.0, 5.0)
+
+
+def outflow_rate(x: float, alpha: float, beta: float) -> float:
+    """Instantaneous departure rate of a queue: beta while backed up, else
+    the arrivals pass straight through."""
+    return beta if x > 0.0 else alpha
+
+
+def merge_inflow(delta1: float, alpha2_tilde: float, phi: float) -> float:
+    """Inflow to queue 2: fraction phi of queue 1's outflow plus the side
+    street's own arrivals."""
+    return phi * delta1 + alpha2_tilde
 
 
 def sim_pass_through(horizon=1.0):
