@@ -21,6 +21,7 @@ from .scenario import (
     load_config,
     parse_config,
     run_replication,
+    run_sweep,
 )
 from .simcore import (
     PhasePlan,
@@ -54,6 +55,7 @@ __all__ = [
     "queue_integral",
     "run_closed_loop",
     "run_replication",
+    "run_sweep",
     "run_window",
     "simulate",
     "__version__",

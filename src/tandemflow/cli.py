@@ -34,22 +34,21 @@ from .oracle import (
 )
 from .regulator import CENTRALIZED, DECENTRALIZED, CycleRecord
 from .scenario import (
+    TAIL_START,
     ConfigError,
     ExperimentConfig,
     config_text,
     default_paper_config,
     load_config,
     run_replication,
+    run_sweep,
+    summarize,
 )
 
 DEFAULT_ZETAS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 RUN_COLUMNS = "k,theta1,theta2,g1,g2,e1,e2,j11,j21,j22"
 SUMMARY_COLUMNS = "zeta,mode,mean_err_g1,mean_err_g2,max_g1,max_g2"
-
-# Control cycles before this index are transient and excluded from the
-# summary means (maxima still cover every cycle).
-TAIL_START = 10
 
 
 def _fmt(x: float) -> str:
@@ -85,25 +84,6 @@ def _write(path: Path | None, lines: list[str]) -> None:
         path.write_text(text)
 
 
-def summarize(cfg: ExperimentConfig, runs: list[list[CycleRecord]]) -> tuple[float, float, float, float]:
-    """The four per-cell statistics, averaged over replications.
-
-    Per replication: absolute deviation of the post-transient mean of each
-    output from its reference, and the maximum of each output over all
-    cycles.  Empty runs contribute nothing (and an all-empty cell is a
-    config error upstream).
-    """
-    err1 = err2 = mx1 = mx2 = 0.0
-    for records in runs:
-        tail = records[TAIL_START - 1:]
-        err1 += abs(sum(r.y[0] for r in tail) / len(tail) - cfg.r1)
-        err2 += abs(sum(r.y[1] for r in tail) / len(tail) - cfg.r2)
-        mx1 += max(r.y[0] for r in records)
-        mx2 += max(r.y[1] for r in records)
-    n = len(runs)
-    return err1 / n, err2 / n, mx1 / n, mx2 / n
-
-
 def cmd_run(cfg: ExperimentConfig, out: str | None) -> int:
     records = run_replication(cfg, replication=0)
     lines = _series_lines(cfg, 0, records)
@@ -123,19 +103,13 @@ def cmd_table1(cfg: ExperimentConfig, out: str | None, zetas: list[float]) -> in
     outdir.mkdir(parents=True, exist_ok=True)
     summary = _metadata(cfg, [("zetas", ",".join(f"{z:g}" for z in zetas))])
     summary.append(SUMMARY_COLUMNS)
-    for zeta in zetas:
-        for mode in (CENTRALIZED, DECENTRALIZED):
-            cell = dataclasses.replace(cfg, alpha1_zeta=zeta,
-                                       alpha2_zeta=zeta, mode=mode)
-            runs = []
-            for rep in range(cell.replications):
-                records = run_replication(cell, replication=rep)
-                runs.append(records)
-                name = f"run_z{zeta:g}_{mode}_rep{rep:02d}.csv"
-                _write(outdir / name, _series_lines(cell, rep, records))
-            stats = summarize(cell, runs)
-            summary.append(",".join([_fmt(zeta), mode] +
-                                    [_fmt(s) for s in stats]))
+    for cell, runs in run_sweep(cfg, zetas):
+        zeta, mode = cell.alpha1_zeta, cell.mode
+        for rep, records in enumerate(runs):
+            name = f"run_z{zeta:g}_{mode}_rep{rep:02d}.csv"
+            _write(outdir / name, _series_lines(cell, rep, records))
+        summary.append(",".join([_fmt(zeta), mode] +
+                                [_fmt(s) for s in summarize(cell, runs)]))
     _write(outdir / "summary.csv", summary)
     return 0
 

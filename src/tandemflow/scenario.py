@@ -25,7 +25,8 @@ the segments of a shorter one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Iterable
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -214,6 +215,14 @@ def default_paper_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
+def _closed_loop(cfg: ExperimentConfig, arrivals: tuple[PiecewiseConstantRate, ...]) -> list[CycleRecord]:
+    """The configured closed loop, run on one replication's arrival pair."""
+    plant = make_traffic_plant(*arrivals, cfg.c1, cfg.c2, cfg.service_profile(),
+                               cfg.phi, cfg.cycles_per_control)
+    return run_closed_loop(plant, (cfg.r1, cfg.r2), (cfg.theta1_init, cfg.theta2_init),
+                           cfg.num_control_cycles, cfg.mode, cfg.guards())
+
+
 def run_replication(cfg: ExperimentConfig, replication: int = 0) -> list[CycleRecord]:
     """Run one seeded closed-loop replication of the configured experiment.
 
@@ -222,13 +231,56 @@ def run_replication(cfg: ExperimentConfig, replication: int = 0) -> list[CycleRe
     """
     if cfg.num_control_cycles == 0:
         return []
-    arrivals1, arrivals2_tilde = cfg.arrival_pair(replication)
-    plant = make_traffic_plant(arrivals1, arrivals2_tilde, cfg.c1, cfg.c2,
-                               cfg.service_profile(), cfg.phi,
-                               cfg.cycles_per_control)
-    return run_closed_loop(plant, (cfg.r1, cfg.r2),
-                           (cfg.theta1_init, cfg.theta2_init),
-                           cfg.num_control_cycles, cfg.mode, cfg.guards())
+    return _closed_loop(cfg, cfg.arrival_pair(replication))
+
+
+def run_sweep(cfg: ExperimentConfig,
+              zetas: Iterable[float]) -> list[tuple[ExperimentConfig, list[list[CycleRecord]]]]:
+    """The noise sweep: (cell config, records per replication) for every zeta
+    in `zetas` and both modes, in (zeta, mode) order with centralized first.
+
+    A cell config is `cfg` with both arrival spreads set to zeta and its mode
+    set, and its runs equal `run_replication(cell, rep)` bit for bit.  The
+    arrivals do not depend on the mode, so each replication's pair is
+    generated once and both modes run on it.
+    """
+    sweep = []
+    for zeta in zetas:
+        cells = [replace(cfg, alpha1_zeta=zeta, alpha2_zeta=zeta, mode=mode)
+                 for mode in (CENTRALIZED, DECENTRALIZED)]
+        runs = ([], [])
+        for rep in range(cfg.replications):
+            # Zero control cycles need no arrivals and give empty runs.
+            arrivals = cells[0].arrival_pair(rep) if cfg.num_control_cycles else None
+            for cell, cell_runs in zip(cells, runs):
+                cell_runs.append(_closed_loop(cell, arrivals) if arrivals else [])
+            del arrivals  # let this pair go before the next one is generated
+        sweep += zip(cells, runs)
+    return sweep
+
+
+# Control cycles before this index are transient and excluded from the
+# summary means (maxima still cover every cycle).
+TAIL_START = 10
+
+
+def summarize(cfg: ExperimentConfig, runs: list[list[CycleRecord]]) -> tuple[float, float, float, float]:
+    """The four per-cell statistics, averaged over replications.
+
+    Per replication: absolute deviation of the post-transient mean of each
+    output from its reference, and the maximum of each output over all
+    cycles.  Every run needs at least TAIL_START records; table1 checks the
+    configured cycle count up front.
+    """
+    err1 = err2 = mx1 = mx2 = 0.0
+    for records in runs:
+        tail = records[TAIL_START - 1:]
+        err1 += abs(sum(r.y[0] for r in tail) / len(tail) - cfg.r1)
+        err2 += abs(sum(r.y[1] for r in tail) / len(tail) - cfg.r2)
+        mx1 += max(r.y[0] for r in records)
+        mx2 += max(r.y[1] for r in records)
+    n = len(runs)
+    return err1 / n, err2 / n, mx1 / n, mx2 / n
 
 
 _INT_KEYS = {"cycles_per_control", "num_control_cycles", "seed", "replications"}

@@ -163,9 +163,9 @@ class Event:
     limits bracket its own change only, so per-event jumps never double
     count a coincident change.  `alpha2` is the merged inflow to queue 2.
 
-    BusyStart events record the event that switched their queue's net
-    inflow positive in trigger_kind / trigger_queue (trigger_kind == -1
-    means no identified trigger).
+    Only queue 2's BusyStart events record a trigger, the event that switched
+    its net inflow positive, in trigger_kind / trigger_queue.  All other events
+    carry trigger_kind == -1, as does a busy start with no identified trigger.
     """
 
     epoch: float
@@ -173,18 +173,11 @@ class Event:
     queue: int
     x1: float
     x2: float
-    busy1_l: bool
     busy1_r: bool
-    busy2_l: bool
     busy2_r: bool
-    green1_l: bool
     green1_r: bool
-    green2_l: bool
     green2_r: bool
-    a1_l: float
     a1_r: float
-    a2t_l: float
-    a2t_r: float
     b1_l: float
     b1_r: float
     b2_l: float
@@ -326,12 +319,11 @@ def _pending_steps(ramp: PiecewiseConstantRate | None, onset: float, after: floa
 
 
 def _event(t, kind, queue, x1, x2, phi, left, right, tk=-1, tq=0) -> Event:
-    """Log entry from the limits on either side of one change, each given as
-    (a1, a2t, b1, b2, green1, green2, busy1, busy2)."""
-    la1, la2t, lb1, lb2, lg1, lg2, lbz1, lbz2 = left
-    a1, a2t, b1, b2, g1, g2, bz1, bz2 = right
-    return Event(t, kind, queue, x1, x2, lbz1, bz1, lbz2, bz2, lg1, g1, lg2, g2,
-                 la1, a1, la2t, a2t, lb1, b1, lb2, b2,
+    """Log entry from the limits on either side of one change: left is
+    (a1, a2t, b1, b2, busy1), right (a1, a2t, b1, b2, busy1, busy2, green1, green2)."""
+    la1, la2t, lb1, lb2, lbz1 = left
+    a1, a2t, b1, b2, bz1, bz2, g1, g2 = right
+    return Event(t, kind, queue, x1, x2, bz1, bz2, g1, g2, a1, lb1, b1, lb2, b2,
                  phi * (lb1 if lbz1 else la1) + la2t, phi * (b1 if bz1 else a1) + a2t, tk, tq)
 
 
@@ -408,8 +400,8 @@ def simulate(
     append_event = events.append
     if log:
         # Opening marker: the state entering the window, both limits equal.
-        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
-        append_event(_event(t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, left, left))
+        right = (a1, a2t, b1, b2, busy1, busy2, green1, green2)
+        append_event(_event(t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, right[:5], right))
 
     # Online window outputs.  Trapezoid sums q1, q2 of the contents, with
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
@@ -495,12 +487,11 @@ def simulate(
 
         # ---- batch at epoch t: fixed priority order ----
         # After each light switch, exogenous jump and queue 1 staircase step,
-        # the first one that turns an idle queue's net inflow positive is
-        # recorded as the trigger of that queue's busy start.  IPA values are
+        # the first one that turns an idle queue 2's net inflow positive is
+        # recorded as the trigger of its busy start.  IPA values are
         # integrated up to t only when the batch holds an event (hit), with
         # their values from before the batch, as the log-driven rules do.
-        trig1k = trig2k = -1
-        trig1q = trig2q = 0
+        trig2k, trig2q = -1, 0
         hit = at_end or empt1 or empt2
         p11, p22, p21 = v11, v22, v21
 
@@ -510,13 +501,11 @@ def simulate(
                 _, kind, queue = sw[isw]
                 isw += 1
                 hit = True
-                if log:
-                    left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
+                lb1, lb2 = b1, b2
                 # IPA rules: a red onset books the service it cuts off into
                 # the survived-red tally; queue 1's green onset moves a jump
                 # of queue 2's inflow.
                 if queue == 1:
-                    lb1 = b1
                     if kind == GREEN_START:
                         green1 = True
                         b1 = _green_rate(ramp1, bmax1, 0.0)
@@ -533,7 +522,6 @@ def simulate(
                     if busy1:
                         v11 = (cs1 + b1) - bs1
                 else:
-                    lb2 = b2
                     if kind == GREEN_START:
                         green2 = True
                         b2 = _green_rate(ramp2, bmax2, 0.0)
@@ -546,13 +534,11 @@ def simulate(
                             cs2 += lb2
                     if busy2:
                         v22 = (cs2 + b2) - bs2
-                if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
-                    trig1k, trig1q = kind, queue
                 if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                     trig2k, trig2q = kind, queue
                 if log:
-                    append_event(_event(t, kind, queue, x1, x2, phi, left,
-                                        (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
+                    append_event(_event(t, kind, queue, x1, x2, phi, (a1, a2t, lb1, lb2, busy1),
+                                        (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
 
             # Exogenous rate jumps (skipped when the value does not change).
             while ia1 < na1 and a1eps[ia1] == t:
@@ -560,39 +546,30 @@ def simulate(
                 ia1 += 1
                 if new != a1:
                     hit = True
-                    if log:
-                        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
-                    a1 = new
-                    if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
-                        trig1k, trig1q = EXO_RATE_JUMP, 1
+                    la1, a1 = a1, new
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 1
                     if log:
-                        append_event(_event(t, EXO_RATE_JUMP, 1, x1, x2, phi, left,
-                                            (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
+                        append_event(_event(t, EXO_RATE_JUMP, 1, x1, x2, phi, (la1, a2t, b1, b2, busy1),
+                                            (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
             while ia2 < na2 and a2eps[ia2] == t:
                 new = a2rates[ia2]
                 ia2 += 1
                 if new != a2t:
                     hit = True
-                    if log:
-                        left = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
-                    a2t = new
-                    if not busy1 and trig1k < 0 and a1 - b1 > 0.0:
-                        trig1k, trig1q = EXO_RATE_JUMP, 2
+                    la2t, a2t = a2t, new
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 2
                     if log:
-                        append_event(_event(t, EXO_RATE_JUMP, 2, x1, x2, phi, left,
-                                            (a1, a2t, b1, b2, green1, green2, busy1, busy2)))
+                        append_event(_event(t, EXO_RATE_JUMP, 2, x1, x2, phi, (a1, la2t, b1, b2, busy1),
+                                            (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
 
             # Service staircase steps; only visible while the queue is busy.
             while ist1 < len(st1e) and st1e[ist1] == t:
                 new = st1v[ist1]
                 ist1 += 1
                 if new != b1:
-                    lb1 = b1
-                    b1 = new
+                    lb1, b1 = b1, new
                     if busy1:
                         hit = True
                         if busy2:
@@ -602,21 +579,20 @@ def simulate(
                             trig2k, trig2q = INTERNAL_RATE_JUMP, 1
                         if log:
                             append_event(_event(t, INTERNAL_RATE_JUMP, 1, x1, x2, phi,
-                                                (a1, a2t, lb1, b2, green1, green2, True, busy2),
-                                                (a1, a2t, b1, b2, green1, green2, True, busy2)))
+                                                (a1, a2t, lb1, b2, True),
+                                                (a1, a2t, b1, b2, True, busy2, green1, green2)))
             while ist2 < len(st2e) and st2e[ist2] == t:
                 new = st2v[ist2]
                 ist2 += 1
                 if new != b2:
-                    lb2 = b2
-                    b2 = new
+                    lb2, b2 = b2, new
                     if busy2:
                         hit = True
                         v22 = (cs2 + b2) - bs2
                         if log:
                             append_event(_event(t, INTERNAL_RATE_JUMP, 2, x1, x2, phi,
-                                                (a1, a2t, b1, lb2, green1, green2, busy1, True),
-                                                (a1, a2t, b1, b2, green1, green2, busy1, True)))
+                                                (a1, a2t, b1, lb2, busy1),
+                                                (a1, a2t, b1, b2, busy1, True, green1, green2)))
 
         # Emptyings determined by drainage up to t (also logged at the horizon).
         if empt1:
@@ -625,16 +601,14 @@ def simulate(
                 v21 += phi * v11  # queue 1's stored perturbation moves on
             v11 = 0.0
             if log:
-                append_event(_event(t, EMPTY_START, 1, x1, x2, phi,
-                                    (a1, a2t, b1, b2, green1, green2, True, busy2),
-                                    (a1, a2t, b1, b2, green1, green2, False, busy2)))
+                append_event(_event(t, EMPTY_START, 1, x1, x2, phi, (a1, a2t, b1, b2, True),
+                                    (a1, a2t, b1, b2, False, busy2, green1, green2)))
         if empt2:
             busy2 = False
             v22 = v21 = 0.0
             if log:
-                append_event(_event(t, EMPTY_START, 2, x1, x2, phi,
-                                    (a1, a2t, b1, b2, green1, green2, busy1, True),
-                                    (a1, a2t, b1, b2, green1, green2, busy1, False)))
+                append_event(_event(t, EMPTY_START, 2, x1, x2, phi, (a1, a2t, b1, b2, busy1),
+                                    (a1, a2t, b1, b2, busy1, False, green1, green2)))
 
         # Fillings, evaluated on the post-batch rates; queue 1 may cascade
         # into queue 2 through its outflow jump.
@@ -645,10 +619,8 @@ def simulate(
                 if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
                     trig2k, trig2q = BUSY_START, 1
                 if log:
-                    append_event(_event(t, BUSY_START, 1, x1, x2, phi,
-                                        (a1, a2t, b1, b2, green1, green2, False, busy2),
-                                        (a1, a2t, b1, b2, green1, green2, True, busy2),
-                                        trig1k, trig1q))
+                    append_event(_event(t, BUSY_START, 1, x1, x2, phi, (a1, a2t, b1, b2, False),
+                                        (a1, a2t, b1, b2, True, busy2, green1, green2)))
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
@@ -658,10 +630,8 @@ def simulate(
                 else:
                     v21 = 0.0
                 if log:
-                    append_event(_event(t, BUSY_START, 2, x1, x2, phi,
-                                        (a1, a2t, b1, b2, green1, green2, busy1, False),
-                                        (a1, a2t, b1, b2, green1, green2, busy1, True),
-                                        trig2k, trig2q))
+                    append_event(_event(t, BUSY_START, 2, x1, x2, phi, (a1, a2t, b1, b2, busy1),
+                                        (a1, a2t, b1, b2, busy1, True, green1, green2), trig2k, trig2q))
 
         q1 += 0.5 * (xl1 + x1) * dt
         q2 += 0.5 * (xl2 + x2) * dt
@@ -677,8 +647,8 @@ def simulate(
             break
 
     if log:
-        right = (a1, a2t, b1, b2, green1, green2, busy1, busy2)
-        append_event(_event(t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, right, right))
+        right = (a1, a2t, b1, b2, busy1, busy2, green1, green2)
+        append_event(_event(t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, phi, right[:5], right))
     w = horizon - t0
     return TandemTrajectory(t0, horizon, phi, breakpoints, events, (x1, x2),
                             (q1 / w, q2 / w), JacobianEstimate(r11 / w, r21 / w, r22 / w, w))

@@ -21,7 +21,7 @@ from tandemflow.oracle import (
     stochastic_scenarios,
 )
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
-from tandemflow.scenario import default_paper_config, run_replication
+from tandemflow.scenario import _closed_loop, default_paper_config
 from tandemflow.simcore import (
     PhasePlan,
     PiecewiseConstantRate,
@@ -62,14 +62,15 @@ def check_window(a1, a2t, plan, service, phi, x0, horizon, t0):
 
 @pytest.mark.parametrize("zeta", DEFAULT_ZETAS)
 def test_reduced_table1_sweep(zeta):
-    # Replay each closed-loop run's theta sequence window by window.
+    # Replay each closed-loop run's theta sequence window by window.  Both
+    # modes run on the one arrival pair, as in run_sweep.
     base = dataclasses.replace(default_paper_config(), num_control_cycles=SWEEP_WINDOWS,
                                alpha1_zeta=zeta, alpha2_zeta=zeta)
+    a1, a2t = base.arrival_pair(0)
     for mode in (CENTRALIZED, DECENTRALIZED):
         cfg = dataclasses.replace(base, mode=mode)
-        records = run_replication(cfg)
+        records = _closed_loop(cfg, (a1, a2t))
         assert len(records) == SWEEP_WINDOWS
-        a1, a2t = cfg.arrival_pair(0)
         t_window = cfg.cycles_per_control * cfg.c1
         x = (0.0, 0.0)
         for rec in records:

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from tandemflow.regulator import DECENTRALIZED
+import tandemflow.scenario as scenario
+from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from tandemflow.scenario import (
     gen_onoff,
     parse_config,
     run_replication,
+    run_sweep,
 )
 
 
@@ -110,8 +112,9 @@ class TestConfig:
             ExperimentConfig(service_mode="ramp")
 
     def test_zero_control_cycles_is_legal(self):
-        cfg = ExperimentConfig(num_control_cycles=0)
+        cfg = ExperimentConfig(num_control_cycles=0, replications=2)
         assert run_replication(cfg) == []
+        assert [runs for _, runs in run_sweep(cfg, [0.1])] == [[[], []], [[], []]]
 
     def test_arrivals_do_not_depend_on_controller_fields(self):
         cfg = default_paper_config()
@@ -190,3 +193,46 @@ class TestClosedLoopRuns:
         a = run_replication(cfg, 0)
         b = run_replication(cfg, 1)
         assert [r.y for r in a] != [r.y for r in b]
+
+
+def bits(records):
+    """Exact identity of a run's records, telling -0.0 from 0.0."""
+    return [(r.k,) + tuple(float(v).hex() for v in (
+        *r.theta, *r.y, *r.e, r.jac.j11, r.jac.j21, r.jac.j22, r.jac.window))
+        for r in records]
+
+
+class TestSweep:
+    ZETAS = (0.1, 0.3)
+
+    @staticmethod
+    def reduced():
+        return dataclasses.replace(default_paper_config(), num_control_cycles=10,
+                                   replications=2)
+
+    def test_cells_equal_run_replication_bit_for_bit(self):
+        cfg = self.reduced()
+        sweep = run_sweep(cfg, self.ZETAS)
+        expect = [dataclasses.replace(cfg, alpha1_zeta=z, alpha2_zeta=z, mode=m)
+                  for z in self.ZETAS for m in (CENTRALIZED, DECENTRALIZED)]
+        assert [cell for cell, _ in sweep] == expect
+        for cell, runs in sweep:
+            assert len(runs) == cfg.replications
+            for rep, records in enumerate(runs):
+                assert len(records) == cfg.num_control_cycles
+                assert bits(records) == bits(run_replication(cell, rep))
+
+    def test_arrivals_are_generated_once_for_both_modes(self, monkeypatch):
+        calls = []
+        real = scenario.gen_onoff
+
+        def counting(spec, seed, horizon, stream=0):
+            calls.append((spec.zeta, stream))
+            return real(spec, seed, horizon, stream)
+
+        monkeypatch.setattr(scenario, "gen_onoff", counting)
+        cfg = self.reduced()
+        run_sweep(cfg, self.ZETAS)
+        # Two streams (queue 1, side street) per (zeta, replication).
+        assert sorted(calls) == [(z, s) for z in self.ZETAS
+                                 for s in range(2 * cfg.replications)]
