@@ -64,35 +64,38 @@ class OnOffSpec:
                 raise ValueError(f"{nm} must be positive, got {v!r}")
 
 
+# Stages drawn per generator call; any size gives the same realization.
+_BLOCK = 1024
+
+
 def gen_onoff(spec: OnOffSpec, seed: int, horizon: float, stream: int = 0) -> PiecewiseConstantRate:
     """One seeded realization of an off/on process over [0, horizon).
 
     Pure function of (spec, seed, stream): the Philox key is [seed, stream]
     and draws follow the fixed per-stage order documented in the module
-    docstring.  Zero-length stages (a uniform draw of exactly 0.0) are
-    skipped without consuming extra draws.
+    docstring, drawn in blocks of stages.  A stage is kept when its duration
+    is positive and it starts before the horizon, so zero-length stages (a
+    uniform draw of exactly 0.0) are skipped without consuming extra draws.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    rnd = gen.random
-    segs: list[tuple[float, float]] = []
-    t = 0.0
-    mean, zeta = spec.mean_rate, spec.zeta
-    off_max, on_max = spec.off_max, spec.on_max
-    while t < horizon:
-        off = rnd() * off_max
-        if off > 0.0:
-            segs.append((t, 0.0))
-            t += off
-            if t >= horizon:
-                break
-        on = rnd() * on_max
-        level = mean * (1.0 + zeta * (2.0 * rnd() - 1.0))
-        if on > 0.0:
-            segs.append((t, level))
-            t += on
-    return PiecewiseConstantRate(segs, horizon)
+    blocks, end = [], 0.0
+    while end < horizon:
+        u = gen.random((_BLOCK, 3))
+        # [stage, off/on, epoch/rate]; the rate slots hold the durations first.
+        seg = np.empty((_BLOCK, 2, 2))
+        dur = np.multiply(u[:, :2], (spec.off_max, spec.on_max), out=seg[:, :, 1])
+        # Heading the sum with the previous block's exact end keeps the epochs
+        # one sequential left fold, bit for bit the per-stage `t += duration`.
+        run = np.add.accumulate(np.concatenate(([end], dur.ravel())))
+        end = run[-1]
+        seg[:, :, 0] = run[:-1].reshape(_BLOCK, 2)
+        keep = (dur > 0.0) & (seg[:, :, 0] < horizon)
+        seg[:, 0, 1] = 0.0
+        seg[:, 1, 1] = spec.mean_rate * (1.0 + spec.zeta * (2.0 * u[:, 2] - 1.0))
+        blocks.append(np.compress(keep.ravel(), seg.reshape(-1, 2), axis=0))
+    return PiecewiseConstantRate(np.concatenate(blocks), horizon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,6 +277,8 @@ def summarize(cfg: ExperimentConfig, runs: list[list[CycleRecord]]) -> tuple[flo
     """
     err1 = err2 = mx1 = mx2 = 0.0
     for records in runs:
+        if len(records) < TAIL_START:
+            raise ValueError(f"summarize needs at least TAIL_START={TAIL_START} records per run, got {len(records)}")
         tail = records[TAIL_START - 1:]
         err1 += abs(sum(r.y[0] for r in tail) / len(tail) - cfg.r1)
         err2 += abs(sum(r.y[1] for r in tail) / len(tail) - cfg.r2)

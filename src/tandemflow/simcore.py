@@ -21,6 +21,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 INF = math.inf
 
 # Event kinds.  Plain ints keep the event loop cheap.
@@ -66,33 +68,34 @@ class PhasePlan:
 class PiecewiseConstantRate:
     """Right-continuous step function used for every rate process.
 
-    `segments` is a sequence of (start_epoch, rate) pairs; the first epoch
-    must be 0.0, epochs must increase strictly, rates are finite and >= 0.
-    The value on [epochs[j], epochs[j+1]) is rates[j]; `horizon` bounds the
-    domain of validity.
+    `segments` is an iterable of (start_epoch, rate) pairs or an (n, 2)
+    array; the first epoch must be 0.0, epochs must increase strictly,
+    rates are finite and >= 0.  The value on [epochs[j], epochs[j+1]) is
+    rates[j]; `horizon` bounds the domain of validity.
     """
 
     __slots__ = ("epochs", "rates", "horizon")
 
     def __init__(self, segments, horizon: float):
-        epochs = [float(e) for e, _ in segments]
-        rates = [float(r) for _, r in segments]
-        if not epochs:
-            raise ValueError("at least one segment required")
+        # One read of `segments`, so any iterable of pairs works; the checks
+        # run in numpy, the stored values are Python floats for `simulate`.
+        seg = np.asarray(segments if isinstance(segments, np.ndarray) else list(segments), dtype=float)
+        if seg.ndim != 2 or seg.shape[1] != 2 or not len(seg):
+            raise ValueError(f"segments must be one or more (epoch, rate) pairs, got shape {seg.shape}")
+        epochs, rates = seg[:, 0].tolist(), seg[:, 1].tolist()
         if epochs[0] != 0.0:
             raise ValueError(f"first segment must start at 0.0, got {epochs[0]!r}")
-        for a, b in zip(epochs, epochs[1:]):
-            if not b > a:
-                raise ValueError(f"segment epochs must increase strictly ({a!r} -> {b!r})")
-        for r in rates:
-            if not (math.isfinite(r) and r >= 0.0):
-                raise ValueError(f"rates must be finite and nonnegative, got {r!r}")
+        up = seg[1:, 0] > seg[:-1, 0]
+        if not up.all():
+            j = int(up.argmin())
+            raise ValueError(f"segment epochs must increase strictly ({epochs[j]!r} -> {epochs[j + 1]!r})")
+        ok = np.isfinite(seg[:, 1]) & (seg[:, 1] >= 0.0)
+        if not ok.all():
+            raise ValueError(f"rates must be finite and nonnegative, got {rates[int(ok.argmin())]!r}")
         horizon = float(horizon)
         if not (math.isfinite(horizon) and horizon > epochs[-1]):
             raise ValueError(f"horizon {horizon!r} must exceed the last segment epoch {epochs[-1]!r}")
-        self.epochs = epochs
-        self.rates = rates
-        self.horizon = horizon
+        self.epochs, self.rates, self.horizon = epochs, rates, horizon
 
     def rate_at(self, t: float) -> float:
         """Value at time t (right-continuous lookup), for 0 <= t < horizon."""

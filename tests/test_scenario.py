@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import tandemflow.scenario as scenario
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import (
+    TAIL_START,
     ConfigError,
     ExperimentConfig,
     OnOffSpec,
@@ -16,7 +18,57 @@ from tandemflow.scenario import (
     parse_config,
     run_replication,
     run_sweep,
+    summarize,
 )
+
+# The real class; a test patches np.random.Generator with ZeroingGenerator.
+_Generator = np.random.Generator
+
+
+def scalar_gen_onoff(spec, seed, horizon, stream=0):
+    """Reference realization: the (epoch, rate) pairs of a per-stage loop of
+    scalar draws, in the order the scenario module documents."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    rnd = gen.random
+    segs = []
+    t = 0.0
+    mean, zeta = spec.mean_rate, spec.zeta
+    off_max, on_max = spec.off_max, spec.on_max
+    while t < horizon:
+        off = rnd() * off_max
+        if off > 0.0:
+            segs.append((t, 0.0))
+            t += off
+            if t >= horizon:
+                break
+        on = rnd() * on_max
+        level = mean * (1.0 + zeta * (2.0 * rnd() - 1.0))
+        if on > 0.0:
+            segs.append((t, level))
+            t += on
+    return segs
+
+
+def hexes(segments):
+    return [(float(e).hex(), float(r).hex()) for e, r in segments]
+
+
+class ZeroingGenerator:
+    """A Philox generator whose draw stream has exact zeros at fixed
+    positions of the flat sequence, the same whether it is read one scalar
+    or one block at a time.  Positions 10s and 10s+1 zero both durations of
+    every tenth stage; position 13s+7 hits each column in turn."""
+
+    def __init__(self, bit_generator):
+        self._gen = _Generator(bit_generator)
+        self._drawn = 0
+
+    def random(self, size=None):
+        u = self._gen.random(1 if size is None else size)
+        idx = self._drawn + np.arange(u.size).reshape(u.shape)
+        self._drawn += u.size
+        u[(idx % 10 <= 1) | (idx % 13 == 7)] = 0.0
+        return float(u[0]) if size is None else u
 
 
 class TestOnOffGeneration:
@@ -60,7 +112,11 @@ class TestOnOffGeneration:
     def test_prefix_stability(self):
         spec = OnOffSpec(4.1, 0.3, 0.02, 0.063)
         short = gen_onoff(spec, seed=9, horizon=20.0)
-        long = gen_onoff(spec, seed=9, horizon=80.0)
+        long = gen_onoff(spec, seed=9, horizon=180.0)
+        # The short realization ends inside the first block of stages, the
+        # long one several blocks later.
+        assert len(short.segments) < 2 * scenario._BLOCK
+        assert len(long.segments) > 6 * scenario._BLOCK
         assert long.segments[: len(short.segments)] == short.segments
 
     def test_spread_sweep_reuses_the_timing(self):
@@ -80,6 +136,55 @@ class TestOnOffGeneration:
             OnOffSpec(4.1, 0.3, 0.0, 0.063)
         with pytest.raises(ValueError):
             gen_onoff(OnOffSpec(4.1, 0.3, 0.02, 0.063), 1, 0.0)
+
+
+class TestBlockGeneratorMatchesScalarLoop:
+    """gen_onoff draws its stages in blocks; it must equal the per-stage
+    scalar loop bit for bit, wherever the horizon falls."""
+
+    SPECS = (
+        OnOffSpec(4.1, 0.3, 0.063, 0.035),   # queue-1 default
+        OnOffSpec(0.41, 0.3, 0.063, 0.035),  # side-street default
+        OnOffSpec(4.1, 0.3, 2.0, 0.01),      # off_max >> on_max
+    )
+
+    @staticmethod
+    def horizons(spec, seed, stream):
+        """Short and long horizons, and horizons ending inside and exactly at
+        the start of an off stage and of an on stage, at and just past the
+        start of the second block of stages, and inside a later block."""
+        # About eight blocks of stages.
+        full = scalar_gen_onoff(spec, seed, 4 * scenario._BLOCK * (spec.off_max + spec.on_max), stream)
+        epochs = [e for e, _ in full]
+        off = next(j for j, (_, r) in enumerate(full) if r == 0.0 and j > 3)
+        on = next(j for j, (_, r) in enumerate(full) if r > 0.0 and j > 3)
+        edge = epochs[2 * scenario._BLOCK]
+        later = 5 * scenario._BLOCK
+        return (0.01, 0.5,
+                0.5 * (epochs[off] + epochs[off + 1]), 0.5 * (epochs[on] + epochs[on + 1]),
+                epochs[off], epochs[on],
+                edge, np.nextafter(edge, np.inf), 0.5 * (edge + epochs[2 * scenario._BLOCK + 1]),
+                0.5 * (epochs[later] + epochs[later + 1]), 1000.0)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("queue1", "side", "long_off"))
+    @pytest.mark.parametrize("seed,stream", [(1, 0), (7, 3), (2024, 1)])
+    def test_equal_to_the_scalar_loop(self, spec, seed, stream):
+        for h in self.horizons(spec, seed, stream):
+            h = float(h)
+            assert hexes(gen_onoff(spec, seed, h, stream).segments) == \
+                hexes(scalar_gen_onoff(spec, seed, h, stream)), h
+
+    def test_zero_length_stages_are_skipped_alike(self, monkeypatch):
+        monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
+        spec = OnOffSpec(4.1, 0.3, 0.063, 0.035)
+        for h in (0.05, 3.0, 70.0, 160.0):
+            ref = scalar_gen_onoff(spec, 5, h, 2)
+            assert hexes(gen_onoff(spec, 5, h, 2).segments) == hexes(ref), h
+        rates = [r for _, r in ref]
+        pairs = list(zip(rates, rates[1:]))
+        assert (0.0, 0.0) in pairs                      # an on stage was skipped
+        assert any(a > 0.0 and b > 0.0 for a, b in pairs)  # an off stage was skipped
+        assert len(ref) > 4 * scenario._BLOCK
 
 
 class TestConfig:
@@ -200,6 +305,13 @@ def bits(records):
     return [(r.k,) + tuple(float(v).hex() for v in (
         *r.theta, *r.y, *r.e, r.jac.j11, r.jac.j21, r.jac.j22, r.jac.window))
         for r in records]
+
+
+class TestSummarize:
+    def test_short_runs_are_rejected_by_name(self):
+        cfg = dataclasses.replace(default_paper_config(), num_control_cycles=5)
+        with pytest.raises(ValueError, match=f"TAIL_START={TAIL_START}.*got 5"):
+            summarize(cfg, [run_replication(cfg, 0)])
 
 
 class TestSweep:

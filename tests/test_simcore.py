@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tandemflow.simcore import (
@@ -71,6 +72,30 @@ class TestRatePieces:
             PiecewiseConstantRate([(0.0, -1.0)], 1.0)
         with pytest.raises(ValueError):
             PiecewiseConstantRate([(0.0, 1.0)], 0.0)
+        with pytest.raises(ValueError):
+            PiecewiseConstantRate([(0.0, 1.0, 2.0)], 1.0)
+
+    def test_rejections_name_the_offending_values(self):
+        with pytest.raises(ValueError, match=r"increase strictly \(2\.0 -> 1\.5\)"):
+            PiecewiseConstantRate([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.5, 3.0)], 5.0)
+        with pytest.raises(ValueError, match=r"nonnegative, got nan"):
+            PiecewiseConstantRate([(0.0, 1.0), (1.0, math.nan)], 5.0)
+        with pytest.raises(ValueError, match=r"start at 0\.0, got 0\.5"):
+            PiecewiseConstantRate([(0.5, 1.0)], 1.0)
+
+    def test_one_shot_iterables_are_read_once(self):
+        ref = PiecewiseConstantRate([(0.0, 1.0), (1.0, 2.0)], 3.0)
+        for segs in (zip([0.0, 1.0], [1.0, 2.0]), ((e, e + 1.0) for e in (0.0, 1.0))):
+            r = PiecewiseConstantRate(segs, 3.0)
+            assert r.segments == ref.segments
+            assert r.rate_at(0.5) == 1.0 and r.rate_at(2.0) == 2.0
+
+    def test_stores_lists_of_python_floats(self):
+        for segs in ([(0, 1), (1.5, 2)], np.array([[0.0, 1.0], [1.5, 2.0]])):
+            r = PiecewiseConstantRate(segs, 3.0)
+            assert type(r.epochs) is list and type(r.rates) is list
+            assert all(type(v) is float for v in r.epochs + r.rates)
+            assert r.segments == [(0.0, 1.0), (1.5, 2.0)]
 
     def test_lookup_outside_domain(self):
         r = constant_rate(1.0, 2.0)
