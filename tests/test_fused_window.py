@@ -23,6 +23,10 @@ from tandemflow.oracle import (
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import _closed_loop, default_paper_config
 from tandemflow.simcore import (
+    EXO_RATE_JUMP,
+    GREEN_START,
+    INTERNAL_RATE_JUMP,
+    RED_START,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
@@ -127,3 +131,57 @@ def test_reference_passes_need_the_log():
         traj.state_at(0.5)
     with pytest.raises(ValueError, match="log=True"):
         run_window(traj)
+
+
+# A hand-made ramp-service window whose epochs are exact binary fractions.
+# At 1.5 four changes coincide: light 2 turns green, both arrival streams
+# jump and queue 1's service steps up (green since 1.25, step offset 0.25).
+# Queue 1's next step, 1.25 + 0.75, lands exactly on its red start at 2.0
+# and must be cancelled.  Arrivals 1 repeat their rate at 1.75 (a no-op
+# jump that still ends a batch), and both streams have epochs exactly at
+# t0 = 1.0 and at the horizon 3.0.
+TIE_SERVICE = ServiceProfile(
+    "ramp", 5.0, 5.0,
+    ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.25, 4.0), (0.75, 5.0)], 1.0),
+    ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.3, 5.0)], 1.0))
+TIE_A1 = PiecewiseConstantRate([(0.0, 1.0), (1.0, 1.5), (1.5, 2.5), (1.75, 2.5),
+                                (2.25, 0.5), (3.0, 4.0), (3.5, 1.0)], 4.0)
+TIE_A2 = PiecewiseConstantRate([(0.0, 0.5), (1.0, 0.75), (1.5, 1.25), (2.6, 0.25),
+                                (3.0, 2.0)], 4.0)
+TIE_PLAN = PhasePlan(1.0, 1.0, 0.25, 0.5)
+
+# y1, y2, j11, j21, j22, x1_end, x2_end as recorded once: any change to the
+# order of the float operations shows here, although the log-driven
+# reference would follow it.  t0 = 1.375 starts inside queue 1's green,
+# with its step at 1.5 still pending.
+TIE_PINNED = {
+    1.0: ("0x1.5c00000000000p+1", "0x1.b3ae147ae147bp+1", "0x1.2000000000000p+2",
+          "-0x1.ccccccccccccdp+1", "0x1.1000000000000p+2", "0x1.ffffffffffffep-1",
+          "0x1.1666666666666p+2"),
+    1.375: ("0x1.249d89d89d89dp+1", "0x1.9a67f9b2ce602p+1", "0x1.b13b13b13b13bp+1",
+            "-0x1.5a95a95a95a96p+1", "0x1.4ec4ec4ec4ec5p+2", "0x1.5fffffffffffep-1",
+            "0x1.ef33333333333p+1"),
+}
+
+
+@pytest.mark.parametrize("t0", sorted(TIE_PINNED))
+def test_tie_order_and_no_op_boundaries_are_pinned(t0):
+    traj = check_window(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0)
+    assert bits(*traj.y, traj.jac.j11, traj.jac.j21, traj.jac.j22, *traj.x_end) == \
+        TIE_PINNED[t0]
+
+    logged = simulate(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0=t0)
+    at = lambda t: [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == t]
+    # Documented batch priority: light switches, queue 1's arrival jump,
+    # queue 2's, then staircase steps.
+    assert at(1.5) == [(GREEN_START, 2), (EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2),
+                       (INTERNAL_RATE_JUMP, 1)]
+    assert at(2.0) == [(RED_START, 1), (RED_START, 2)]
+    # The no-op jump logs nothing but is still a breakpoint.
+    assert at(1.75) == [] and 1.75 in [p[0] for p in logged.breakpoints]
+    if t0 == 1.0:
+        assert at(1.0) == [(RED_START, 1), (RED_START, 2), (EXO_RATE_JUMP, 1),
+                           (EXO_RATE_JUMP, 2)]
+    # Arrival epochs at the horizon belong to the next window.
+    assert at(3.0) == []
+    assert (logged.events[-1].a1_r, logged.events[-1].alpha2_r) == (0.5, 0.8 * 4.0 + 0.25)
