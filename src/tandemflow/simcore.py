@@ -253,27 +253,40 @@ class TandemTrajectory:
         return (x1 + w * (y1 - x1), x2 + w * (y2 - x2))
 
 
-def build_switch_epochs(plan: PhasePlan, horizon: float, t0: float = 0.0):
-    """All light-switch events in [t0, horizon) as (epoch, kind, queue),
-    sorted by epoch with queue 1 first on ties.  Epochs are k*c_i products,
-    never running sums, so repeated calls agree bitwise."""
+# Light-plan codes.  A light switch is 2 * (queue - 1) + kind, so sorting on
+# (epoch, code) puts queue 1 before queue 2 and a red start before a green
+# start at one epoch; staircase steps, STEP for queue 1 and STEP + 1 for
+# queue 2, sort after every switch at their epoch.
+STEP = 4
+
+
+def _switches(plan: PhasePlan, horizon: float, t0: float) -> list[tuple[float, int, float]]:
+    """All light switches in [t0, horizon) as (epoch, code, 0.0), in batch
+    order.  Epochs are k*c_i products, never running sums, so repeated calls
+    agree bitwise."""
     if not horizon > t0 >= 0.0:
         raise ValueError(f"need 0 <= t0 < horizon, got t0={t0!r} horizon={horizon!r}")
     out = []
-    for queue, c, th in ((1, plan.c1, plan.theta1), (2, plan.c2, plan.theta2)):
+    for red, c, th in ((0, plan.c1, plan.theta1), (2, plan.c2, plan.theta2)):
         k = max(int(t0 // c) - 1, 0)
         while True:
             base = k * c
             if base >= horizon:
                 break
             if base >= t0:
-                out.append((base, RED_START, queue))
+                out.append((base, red, 0.0))
             g = base + th
             if t0 <= g < horizon:
-                out.append((g, GREEN_START, queue))
+                out.append((g, red + 1, 0.0))
             k += 1
-    out.sort(key=lambda e: (e[0], e[2], e[1]))
+    out.sort()
     return out
+
+
+def build_switch_epochs(plan: PhasePlan, horizon: float, t0: float = 0.0):
+    """All light-switch events in [t0, horizon) as (epoch, kind, queue),
+    sorted by epoch with queue 1 first on ties."""
+    return [(e, code & 1, (code >> 1) + 1) for e, code, _ in _switches(plan, horizon, t0)]
 
 
 def _phase_at_left(c: float, th: float, t0: float) -> tuple[bool, float]:
@@ -306,19 +319,52 @@ def _green_rate(ramp: PiecewiseConstantRate | None, bmax: float, elapsed: float)
     return ramp.rates[bisect_right(ramp.epochs, elapsed) - 1]
 
 
-def _pending_steps(ramp: PiecewiseConstantRate | None, onset: float, after: float,
-                   horizon: float) -> tuple[list[float], list[float]]:
-    """Staircase steps of the green interval begun at onset: the absolute
-    epochs in (after, horizon) and their rates."""
-    eps: list[float] = []
-    vals: list[float] = []
-    if ramp is not None:
-        for off, v in zip(ramp.epochs, ramp.rates):
-            e = onset + off
-            if after < e < horizon:
-                eps.append(e)
-                vals.append(v)
-    return eps, vals
+def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: float,
+                onsets: tuple[float | None, float | None]) -> list[tuple[float, int, float]]:
+    """The light-plan stream of the window [t0, horizon): (epoch, code,
+    step rate) in batch order, ended by the sentinel (horizon, -1, 0.0).
+
+    Under staircase service each green interval contributes the steps that
+    fall strictly after its onset and t0 and strictly before the queue's
+    next switch (its red start) or the horizon: a step on the red start is
+    cancelled by it.  onsets[i] is the onset of queue i+1's green in
+    progress at t0, else None.
+    """
+    items = _switches(plan, horizon, t0)
+    if service.mode == "ramp":
+        stairs = [list(zip(r.epochs, r.rates)) for r in (service.ramp1, service.ramp2)]
+        greens = []  # (onset, steps only after, queue index, steps only before)
+        ends = [horizon, horizon]  # the next switch of each queue
+        for e, code, _ in reversed(items):
+            q = code >> 1
+            if code & 1:
+                greens.append((e, e, q, ends[q]))
+            ends[q] = e
+        greens += [(onsets[q], t0, q, ends[q]) for q in (0, 1) if onsets[q] is not None]
+        for onset, after, q, end in greens:
+            for off, v in stairs[q]:
+                e = onset + off
+                if e >= end:
+                    break  # offsets increase, so the rest fall later still
+                if e > after:
+                    items.append((e, STEP + q, v))
+        # Plain tuple order: entries tie on (epoch, code) only as steps of
+        # one green, which a nondecreasing staircase keeps in their order.
+        items.sort()
+    items.append((horizon, -1, 0.0))
+    return items
+
+
+def _arrival_stream(arr: PiecewiseConstantRate, t0: float, horizon: float):
+    """The arrival stream of the window: the epochs in [t0, horizon) with
+    `horizon` appended as the sentinel, their rates, and the rate in force
+    just before t0.  An epoch at exactly t0 is a pending event."""
+    eps = arr.epochs
+    i = bisect_left(eps, t0)
+    j = bisect_left(eps, horizon, i)
+    stream = eps[i:j]
+    stream.append(horizon)
+    return stream, arr.rates[i:j], arr.rates[i - 1] if i else 0.0
 
 
 def _event(t, kind, queue, x1, x2, phi, left, right, tk=-1, tq=0) -> Event:
@@ -355,6 +401,25 @@ def simulate(
     equal to `queue_integral` and `ipa.run_window` over the log.  With
     log=False the event log and the breakpoints are not built (both lists
     stay empty), which is all a closed-loop plant needs.
+
+    The loop reads three streams, each a list ending in the sentinel
+    `horizon`: the light plan (switch epochs and, under staircase service,
+    the steps; see `_light_plan`) and the window's slices of the two arrival
+    processes.  The next epoch is the least of the three heads and the two
+    predicted emptyings; an exhausted stream rests on its sentinel, so no
+    head needs a bounds test.  A batch applies its changes in a fixed
+    priority order: light switches, queue 1's arrival jump, queue 2's, queue
+    1's staircase steps, queue 2's, emptyings, fillings.  The order fixes
+    the order of every float operation, which keeps y, J and the end state
+    reproducible bit for bit.
+
+    Every arrival epoch ends a batch, including a jump to the rate already
+    in force, which logs nothing: it still splits the drain x += s*dt and
+    the trapezoid sums in two, so dropping it changes the last bits of y, J
+    and the end state.  The streams are slices of the rate processes' lists,
+    with no per-call numpy merge: slicing a 20 s window's arrivals takes
+    about 5 us, a numpy merge into one calendar 81-86 us, and on the short
+    check-grad windows (20-30 us each) the merge alone would add about 12 us.
     """
     if not (0.0 <= t0 < horizon):
         raise ValueError(f"need 0 <= t0 < horizon, got t0={t0!r} horizon={horizon!r}")
@@ -364,36 +429,26 @@ def simulate(
     if not (0.0 <= phi <= 1.0):
         raise ValueError(f"phi must lie in [0, 1], got {phi!r}")
     x1, x2 = float(x0[0]), float(x0[1])
-    if x1 < 0.0 or x2 < 0.0:
-        raise ValueError(f"initial queue contents must be nonnegative, got {x0!r}")
+    for i, x in ((1, x1), (2, x2)):
+        if not 0.0 <= x < INF:
+            raise ValueError(f"initial contents of queue {i} must be finite and nonnegative, got {x!r}")
 
     ramp1, ramp2 = service.ramp1, service.ramp2  # None under constant service
     bmax1, bmax2 = service.beta_max1, service.beta_max2
 
-    # Light switch schedule and pre-window phases.
-    sw = build_switch_epochs(plan, horizon, t0)
-    nsw = len(sw)
-    isw = 0
+    # Pre-window light phases and service rates.
     green1, onset1 = _phase_at_left(plan.c1, plan.theta1, t0)
     green2, onset2 = _phase_at_left(plan.c2, plan.theta2, t0)
-
-    # Service rates and the staircase step schedules of the current green
-    # intervals (absolute epochs strictly after t0; the onset value itself
-    # is not a step).
     b1 = _green_rate(ramp1, bmax1, t0 - onset1) if green1 else 0.0
     b2 = _green_rate(ramp2, bmax2, t0 - onset2) if green2 else 0.0
-    st1e, st1v = _pending_steps(ramp1, onset1, t0, horizon) if green1 else ([], [])
-    st2e, st2v = _pending_steps(ramp2, onset2, t0, horizon) if green2 else ([], [])
-    ist1 = ist2 = 0
 
-    # Exogenous arrival pointers; entries at exactly t0 are pending events.
-    a1eps, a1rates = arrivals1.epochs, arrivals1.rates
-    a2eps, a2rates = arrivals2_tilde.epochs, arrivals2_tilde.rates
-    na1, na2 = len(a1eps), len(a2eps)
-    ia1 = bisect_left(a1eps, t0)
-    ia2 = bisect_left(a2eps, t0)
-    a1 = a1rates[ia1 - 1] if ia1 > 0 else 0.0
-    a2t = a2rates[ia2 - 1] if ia2 > 0 else 0.0
+    # The three streams and their heads hp, ha1, ha2.
+    lp = _light_plan(plan, service, t0, horizon,
+                     (onset1 if green1 else None, onset2 if green2 else None))
+    e1, r1, a1 = _arrival_stream(arrivals1, t0, horizon)
+    e2, r2, a2t = _arrival_stream(arrivals2_tilde, t0, horizon)
+    ip = i1 = i2 = 0
+    hp, ha1, ha2 = lp[0][0], e1[0], e2[0]
 
     busy1 = x1 > 0.0
     busy2 = x2 > 0.0
@@ -420,74 +475,12 @@ def simulate(
     bs1 = b1 if busy1 else 0.0
     bs2 = b2 if busy2 else 0.0
 
+    # The first batch applies the events at t0, before any motion; each
+    # pass ends by advancing to the next batch's epoch.
     t = t0
-    first_batch = True
+    dt = 0.0
+    empt1 = empt2 = at_end = False
     while True:
-        d1 = b1 if busy1 else a1
-        al2 = phi * d1 + a2t
-        s1 = a1 - b1 if busy1 else 0.0
-        s2 = al2 - b2 if busy2 else 0.0
-
-        if first_batch:
-            # Events scheduled exactly at t0 are applied before any motion.
-            cand = t0
-            dt = 0.0
-            pred1 = pred2 = INF
-            first_batch = False
-        else:
-            cand = horizon
-            if isw < nsw:
-                e = sw[isw][0]
-                if e < cand:
-                    cand = e
-            if ia1 < na1:
-                e = a1eps[ia1]
-                if e < cand:
-                    cand = e
-            if ia2 < na2:
-                e = a2eps[ia2]
-                if e < cand:
-                    cand = e
-            if ist1 < len(st1e):
-                e = st1e[ist1]
-                if e < cand:
-                    cand = e
-            if ist2 < len(st2e):
-                e = st2e[ist2]
-                if e < cand:
-                    cand = e
-            pred1 = t + x1 / (b1 - a1) if s1 < 0.0 else INF
-            pred2 = t + x2 / (b2 - al2) if s2 < 0.0 else INF
-            if pred1 < cand:
-                cand = pred1
-            if pred2 < cand:
-                cand = pred2
-
-            dt = cand - t
-            if s1 != 0.0:
-                x1 += s1 * dt
-            if s2 != 0.0:
-                x2 += s2 * dt
-            t = cand
-
-        empt1 = empt2 = False
-        if busy1:
-            if cand == pred1:
-                x1 = 0.0
-                empt1 = True
-            elif s1 < 0.0 and x1 <= 0.0:
-                x1 = 0.0  # drain completing within one rounding ulp of cand
-                empt1 = True
-        if busy2:
-            if cand == pred2:
-                x2 = 0.0
-                empt2 = True
-            elif s2 < 0.0 and x2 <= 0.0:
-                x2 = 0.0
-                empt2 = True
-
-        at_end = cand == horizon
-
         # ---- batch at epoch t: fixed priority order ----
         # After each light switch, exogenous jump and queue 1 staircase step,
         # the first one that turns an idle queue 2's net inflow positive is
@@ -499,10 +492,14 @@ def simulate(
         p11, p22, p21 = v11, v22, v21
 
         if not at_end:
-            # Light switches.
-            while isw < nsw and sw[isw][0] == t:
-                _, kind, queue = sw[isw]
-                isw += 1
+            # Light switches: the light-plan entries at t with codes below STEP.
+            while hp == t:
+                code = lp[ip][1]
+                if code >= STEP:
+                    break
+                ip += 1
+                hp = lp[ip][0]
+                kind, queue = code & 1, (code >> 1) + 1
                 hit = True
                 lb1, lb2 = b1, b2
                 # IPA rules: a red onset books the service it cuts off into
@@ -512,14 +509,11 @@ def simulate(
                     if kind == GREEN_START:
                         green1 = True
                         b1 = _green_rate(ramp1, bmax1, 0.0)
-                        st1e, st1v = _pending_steps(ramp1, t, t, horizon)
-                        ist1 = 0
                         if busy2:
                             d1 = lb1 if busy1 else a1
                             v21 += (phi * d1 + a2t) - (phi * (b1 if busy1 else a1) + a2t)
                     else:
                         green1, b1 = False, 0.0
-                        ist1 = len(st1e)
                         if busy1:
                             cs1 += lb1
                     if busy1:
@@ -528,11 +522,8 @@ def simulate(
                     if kind == GREEN_START:
                         green2 = True
                         b2 = _green_rate(ramp2, bmax2, 0.0)
-                        st2e, st2v = _pending_steps(ramp2, t, t, horizon)
-                        ist2 = 0
                     else:
                         green2, b2 = False, 0.0
-                        ist2 = len(st2e)
                         if busy2:
                             cs2 += lb2
                     if busy2:
@@ -543,10 +534,11 @@ def simulate(
                     append_event(_event(t, kind, queue, x1, x2, phi, (a1, a2t, lb1, lb2, busy1),
                                         (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
 
-            # Exogenous rate jumps (skipped when the value does not change).
-            while ia1 < na1 and a1eps[ia1] == t:
-                new = a1rates[ia1]
-                ia1 += 1
+            # Exogenous rate jumps (logged only when the value changes).
+            if ha1 == t:  # epochs increase strictly: one jump at most
+                new = r1[i1]
+                i1 += 1
+                ha1 = e1[i1]
                 if new != a1:
                     hit = True
                     la1, a1 = a1, new
@@ -555,9 +547,10 @@ def simulate(
                     if log:
                         append_event(_event(t, EXO_RATE_JUMP, 1, x1, x2, phi, (la1, a2t, b1, b2, busy1),
                                             (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
-            while ia2 < na2 and a2eps[ia2] == t:
-                new = a2rates[ia2]
-                ia2 += 1
+            if ha2 == t:
+                new = r2[i2]
+                i2 += 1
+                ha2 = e2[i2]
                 if new != a2t:
                     hit = True
                     la2t, a2t = a2t, new
@@ -567,27 +560,27 @@ def simulate(
                         append_event(_event(t, EXO_RATE_JUMP, 2, x1, x2, phi, (a1, la2t, b1, b2, busy1),
                                             (a1, a2t, b1, b2, busy1, busy2, green1, green2)))
 
-            # Service staircase steps; only visible while the queue is busy.
-            while ist1 < len(st1e) and st1e[ist1] == t:
-                new = st1v[ist1]
-                ist1 += 1
-                if new != b1:
-                    lb1, b1 = b1, new
-                    if busy1:
-                        hit = True
-                        if busy2:
-                            v21 += (phi * lb1 + a2t) - (phi * b1 + a2t)
-                        v11 = (cs1 + b1) - bs1
-                        if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
-                            trig2k, trig2q = INTERNAL_RATE_JUMP, 1
-                        if log:
-                            append_event(_event(t, INTERNAL_RATE_JUMP, 1, x1, x2, phi,
-                                                (a1, a2t, lb1, b2, True),
-                                                (a1, a2t, b1, b2, True, busy2, green1, green2)))
-            while ist2 < len(st2e) and st2e[ist2] == t:
-                new = st2v[ist2]
-                ist2 += 1
-                if new != b2:
+            # Service staircase steps, the rest of the light plan at t; only
+            # visible while the queue is busy.
+            while hp == t:
+                _, code, new = lp[ip]
+                ip += 1
+                hp = lp[ip][0]
+                if code == STEP:
+                    if new != b1:
+                        lb1, b1 = b1, new
+                        if busy1:
+                            hit = True
+                            if busy2:
+                                v21 += (phi * lb1 + a2t) - (phi * b1 + a2t)
+                            v11 = (cs1 + b1) - bs1
+                            if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
+                                trig2k, trig2q = INTERNAL_RATE_JUMP, 1
+                            if log:
+                                append_event(_event(t, INTERNAL_RATE_JUMP, 1, x1, x2, phi,
+                                                    (a1, a2t, lb1, b2, True),
+                                                    (a1, a2t, b1, b2, True, busy2, green1, green2)))
+                elif new != b2:
                     lb2, b2 = b2, new
                     if busy2:
                         hit = True
@@ -648,6 +641,52 @@ def simulate(
             breakpoints.append((t, x1, x2))
         if at_end:
             break
+
+        # ---- advance to the next epoch: the least stream head or emptying ----
+        cand = hp
+        if ha1 < cand:
+            cand = ha1
+        if ha2 < cand:
+            cand = ha2
+        if busy1:
+            d1, s1 = b1, a1 - b1
+            pred1 = t + x1 / (b1 - a1) if s1 < 0.0 else INF
+            if pred1 < cand:
+                cand = pred1
+        else:
+            d1, s1 = a1, 0.0
+        if busy2:
+            al2 = phi * d1 + a2t
+            s2 = al2 - b2
+            pred2 = t + x2 / (b2 - al2) if s2 < 0.0 else INF
+            if pred2 < cand:
+                cand = pred2
+        else:
+            s2 = 0.0
+
+        dt = cand - t
+        if s1 != 0.0:
+            x1 += s1 * dt
+        if s2 != 0.0:
+            x2 += s2 * dt
+        t = cand
+
+        empt1 = empt2 = False
+        if busy1:
+            if cand == pred1:
+                x1 = 0.0
+                empt1 = True
+            elif s1 < 0.0 and x1 <= 0.0:
+                x1 = 0.0  # drain completing within one rounding ulp of cand
+                empt1 = True
+        if busy2:
+            if cand == pred2:
+                x2 = 0.0
+                empt2 = True
+            elif s2 < 0.0 and x2 <= 0.0:
+                x2 = 0.0
+                empt2 = True
+        at_end = cand == horizon
 
     if log:
         right = (a1, a2t, b1, b2, busy1, busy2, green1, green2)

@@ -248,6 +248,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(a, a, plan, CONST5, 1.0, (-0.1, 0.0), 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("queue", [1, 2])
+    def test_simulate_rejects_nonfinite_x0(self, queue, bad):
+        # NaN passes a plain `x < 0` test; unchecked, it gives y = nan beside
+        # a finite-looking J.
+        plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
+        a = constant_rate(1.0, 2.0)
+        x0 = (bad, 0.0) if queue == 1 else (0.0, bad)
+        with pytest.raises(ValueError, match=rf"queue {queue} .*finite.*got {bad!r}"):
+            simulate(a, a, plan, CONST5, 1.0, x0, 2.0, log=False)
+
     def test_queue_integral_rejects_bad_window(self):
         traj = sim_pass_through()
         with pytest.raises(ValueError):
