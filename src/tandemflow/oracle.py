@@ -15,7 +15,8 @@ compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,6 +34,9 @@ DEFAULT_DET_H = 1e-3
 DEFAULT_DET_TOL = 1e-6
 DEFAULT_STOCH_H = 1e-5
 DEFAULT_STOCH_TOL = 1e-3
+
+# An event's (kind, queue) pair, its signature entry, read by position.
+_KIND_QUEUE = itemgetter(1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +83,7 @@ def _window(scn: GradScenario, theta1: float, theta2: float):
     traj = simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
                     scn.phi, scn.x0, scn.horizon, t0=scn.t0)
     g1, g2 = traj.y
-    return g1, g2, tuple((ev.kind, ev.queue) for ev in traj.events)
+    return g1, g2, list(map(_KIND_QUEUE, traj.events))
 
 
 def analytic_jacobian(scn: GradScenario) -> JacobianEstimate:

@@ -4,10 +4,12 @@ simulate computes each window's averages y, Jacobian J and end state in the
 pass that applies the events.  queue_integral over the breakpoints and
 ipa.run_window over the event log are the reference implementation: the
 two must agree bit for bit, with the log built or not, on every window of a
-reduced table1 sweep and of both gradient-oracle batteries.
+reduced table1 sweep and of both gradient-oracle batteries.  One recorded
+digest pins every field of every logged event on a fixed set of windows.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -185,3 +187,48 @@ def test_tie_order_and_no_op_boundaries_are_pinned(t0):
     # Arrival epochs at the horizon belong to the next window.
     assert at(3.0) == []
     assert (logged.events[-1].a1_r, logged.events[-1].alpha2_r) == (0.5, 0.8 * 4.0 + 0.25)
+
+
+# Every field of the log, in Event's field order.  Floats are hashed as
+# float.hex, ints and bools as repr, so a change in any bit of any field of
+# any event (alpha2_l, b2_l and x2 included, which neither y, J nor the
+# log-driven reference read in full) changes the digest.
+EVENT_FIELDS = ("epoch", "kind", "queue", "x1", "x2", "busy1_r", "busy2_r", "green1_r",
+                "green2_r", "a1_r", "b1_l", "b1_r", "b2_l", "b2_r", "alpha2_l", "alpha2_r",
+                "trigger_kind", "trigger_queue")
+LOG_DIGEST = "1235c60024620d5fe8f0216489c3762b6dccb207dc6fbed7d765386ab230958d"
+
+
+def log_digest_windows():
+    """The windows of the whole-log digest: the nominal and perturbed
+    windows of both oracle batteries, three reference-config windows and
+    one ramp-service window on the reference arrivals."""
+    for scn, h in [(s, DEFAULT_DET_H) for s in deterministic_scenarios()] + \
+            [(s, DEFAULT_STOCH_H) for s in stochastic_scenarios()]:
+        th1, th2 = scn.plan.theta1, scn.plan.theta2
+        for d1, d2 in ((0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
+            plan = PhasePlan(scn.plan.c1, scn.plan.c2, th1 + d1, th2 + d2)
+            yield (scn.arrivals1, scn.arrivals2_tilde, plan, scn.service, scn.phi,
+                   scn.x0, scn.horizon, scn.t0)
+    cfg = default_paper_config()
+    a1, a2t = cfg.arrival_pair(0)
+    const = cfg.service_profile()
+    for theta, x0, t0 in (((0.8, 0.8), (0.0, 0.0), 0.0), ((0.31, 0.41), (0.0, 0.0), 200.0),
+                          ((0.29, 0.44), (0.37, 0.21), 180.0)):
+        yield a1, a2t, PhasePlan(cfg.c1, cfg.c2, *theta), const, cfg.phi, x0, t0 + 20.0, t0
+    ramp = ServiceProfile(
+        "ramp", 5.0, 5.0,
+        ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.1, 4.0), (0.25, 5.0)], 1.0),
+        ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 1.0))
+    yield a1, a2t, PhasePlan(cfg.c1, cfg.c2, 0.35, 0.45), ramp, cfg.phi, (0.5, 0.3), 320.0, 300.6
+
+
+def test_whole_event_log_is_pinned():
+    digest = hashlib.sha256()
+    for a1, a2t, plan, service, phi, x0, horizon, t0 in log_digest_windows():
+        for ev in simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0).events:
+            digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                                   for v in (getattr(ev, f) for f in EVENT_FIELDS)).encode())
+            digest.update(b"\n")
+        digest.update(b"--\n")
+    assert digest.hexdigest() == LOG_DIGEST

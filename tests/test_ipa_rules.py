@@ -5,7 +5,6 @@ most assertions are exact float comparisons: the accumulators are required
 to reproduce the same arithmetic, not merely approximate it.
 """
 
-import dataclasses
 import math
 import random
 
@@ -244,8 +243,7 @@ class TestCrossRules:
         traj = sim(0.4, 0.6, 2.0, 0.0)
         bs2 = next(ev for ev in traj.events
                    if ev.kind == BUSY_START and ev.queue == 2)
-        forged = dataclasses.replace(bs2, trigger_kind=EMPTY_START,
-                                     trigger_queue=1)
+        forged = bs2._replace(trigger_kind=EMPTY_START, trigger_queue=1)
         d1 = DiagIpaAccumulator(queue=1)
         acc = CrossIpaAccumulator()
         for ev in traj.events:

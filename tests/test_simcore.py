@@ -267,6 +267,35 @@ class TestValidation:
             queue_integral(traj, 0.0, 1.5)
 
 
+class TestRedWithinRoundingOfCycle:
+    # theta1 one ulp below c1: from k = 1 on, the onset k + theta1 rounds
+    # onto the next red start k + 1, so those cycles' greens are empty and
+    # queue 1's light stays red.
+    PLAN = PhasePlan(1.0, 1.0, math.nextafter(1.0, 0.0), 0.5)
+
+    def sim(self, x0, horizon, t0=0.0):
+        return simulate(constant_rate(1.0, 8.0), constant_rate(0.0, 8.0), self.PLAN, CONST5,
+                        0.9, x0, horizon, t0=t0)
+
+    def test_empty_greens_are_dropped(self):
+        switches1 = [(e, k) for e, k, q in build_switch_epochs(self.PLAN, 8.0) if q == 1]
+        assert switches1 == [(0.0, RED_START), (self.PLAN.theta1, GREEN_START)] + \
+            [(float(k), RED_START) for k in range(1, 8)]
+
+    def test_queue_1_fills_instead_of_draining(self):
+        traj = self.sim((2.0, 0.0), 8.0)
+        assert traj.x_end[0] == pytest.approx(10.0) and traj.x_end[1] == 0.0
+        assert not any(ev.green1_r for ev in traj.events if ev.epoch >= 1.0)
+
+    def test_split_window_gives_the_same_end_state(self):
+        whole = self.sim((2.0, 0.0), 8.0)
+        head = self.sim((2.0, 0.0), 4.0)
+        tail = self.sim(head.x_end, 8.0, t0=4.0)
+        assert tail.x_end == whole.x_end
+        # The empty green before t0 leaves the light red entering the window.
+        assert not tail.events[0].green1_r and tail.events[0].b1_r == 0.0
+
+
 class TestExactness:
     def test_determinism(self):
         a = sim_backed_up()
