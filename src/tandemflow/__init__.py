@@ -3,7 +3,6 @@ queues gated by fixed-cycle traffic lights."""
 
 __version__ = "0.1.0"
 
-from .ipa import JacobianEstimate, run_window
 from .regulator import (
     CENTRALIZED,
     DECENTRALIZED,
@@ -24,12 +23,12 @@ from .scenario import (
     run_sweep,
 )
 from .simcore import (
+    JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
     TandemTrajectory,
     constant_rate,
-    queue_integral,
     simulate,
 )
 
@@ -52,11 +51,9 @@ __all__ = [
     "load_config",
     "make_traffic_plant",
     "parse_config",
-    "queue_integral",
     "run_closed_loop",
     "run_replication",
     "run_sweep",
-    "run_window",
     "simulate",
     "__version__",
 ]

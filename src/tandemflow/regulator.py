@@ -78,10 +78,8 @@ class ControllerState:
     """Everything the controller carries between cycles."""
 
     theta: tuple[float, float]
-    y: tuple[float, float] = (0.0, 0.0)
     e: tuple[float, float] = (0.0, 0.0)
     gain: Matrix = IDENTITY
-    mode: str = CENTRALIZED
     k: int = 0
 
 
@@ -185,12 +183,11 @@ def run_closed_loop(
         raise ValueError(f"num_cycles must be >= 0, got {num_cycles!r}")
     if guards is None:
         guards = GuardConfig()
-    state = ControllerState(theta=theta_init, gain=initial_gain, mode=mode, k=1)
+    state = ControllerState(theta=theta_init, gain=initial_gain, k=1)
     records: list[CycleRecord] = []
     for k in range(1, num_cycles + 1):
         y, jac = plant(state.theta, k)
         e = (r[0] - y[0], r[1] - y[1])
-        state.y = y
         state.e = e
         records.append(CycleRecord(k=k, theta=state.theta, y=y, e=e, jac=jac))
         gain = invert_gain(jac, state.gain, mode, guards)
@@ -228,7 +225,7 @@ def make_traffic_plant(
         t1 = k * t_window
         traj = simulate(arrivals1, arrivals2_tilde, plan, service, phi,
                         (x_state[0], x_state[1]), t1, t0=t0, log=False)
-        x_state[0], x_state[1] = traj.end_state()
+        x_state[0], x_state[1] = traj.x_end
         return traj.y, traj.jac
 
     return plant

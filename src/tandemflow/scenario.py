@@ -166,6 +166,11 @@ class ExperimentConfig:
                 f"num_control_cycles must be >= 0, got {self.num_control_cycles!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.seed >= 2 ** 64:
+            raise ConfigError(f"seed must be < 2**64 (a uint64 Philox key), got {self.seed!r}")
+        # A theta box reaching c would let the clamp put a red on the cycle end.
+        if not self.theta_max_frac < 1.0:
+            raise ConfigError(f"theta_max_frac must be < 1, got {self.theta_max_frac!r}")
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi={self.phi!r} outside [0, 1]")
         for nm in ("c1", "c2", "beta_max1", "beta_max2"):

@@ -9,10 +9,11 @@ the trajectory is exact up to floating-point rounding.
 
 While it applies each event batch, the simulator also computes the window
 outputs online: the time-averaged contents y by exact trapezoid sums, and the
-sample-path Jacobian J by the same diagonal and cross rules that `ipa` applies
-to a logged window.  On request it also returns the annotated event log, with
-one-sided limits of every rate at every discontinuity, which the
-finite-difference audit and the log-driven reference implementation read.
+sample-path Jacobian J by diagonal and cross sensitivity rules applied at
+each event.  This is the package's only sensitivity pass.  On request it also
+returns the annotated event log, with one-sided limits of every rate at every
+discontinuity, which the finite-difference audit reads; the tests rebuild y
+and J from that log with a log-driven reference (`tests/ipa_reference.py`).
 """
 
 from __future__ import annotations
@@ -220,9 +221,6 @@ class JacobianEstimate:
     def j12(self) -> float:
         return 0.0
 
-    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.j11, 0.0), (self.j21, self.j22))
-
 
 @dataclass(slots=True)
 class TandemTrajectory:
@@ -230,10 +228,16 @@ class TandemTrajectory:
 
     x_end is the state at t1, y the time-averaged contents over the window
     and jac the window's sample-path Jacobian.  When the log is requested,
-    breakpoints holds (epoch, x1, x2) at t0, at every event epoch and at t1,
-    and events is the annotated log, bracketed by ControlCycleBoundary
-    markers whose annotations give the state entering and leaving the
-    window; otherwise both lists are empty.
+    events is the annotated log, bracketed by ControlCycleBoundary markers
+    whose annotations give the state entering and leaving the window, and
+    breakpoints holds (epoch, x1, x2) at every batch from t0 to t1;
+    otherwise both lists are empty.
+
+    breakpoints is not the events' (x1, x2) under another name: it also
+    holds the batches that log no event (an arrival jump to the rate already
+    in force, a staircase step while the queue is idle).  Each such batch
+    still splits the trapezoid sums, so the log-driven reference of y needs
+    them.
     """
 
     t0: float
@@ -244,25 +248,6 @@ class TandemTrajectory:
     x_end: tuple[float, float]
     y: tuple[float, float]
     jac: JacobianEstimate
-
-    def end_state(self) -> tuple[float, float]:
-        return self.x_end
-
-    def state_at(self, t: float) -> tuple[float, float]:
-        """Linear interpolation of (x1, x2); exact at breakpoints."""
-        if not self.breakpoints:
-            raise ValueError("trajectory has no breakpoints; simulate it with log=True")
-        if not (self.t0 <= t <= self.t1):
-            raise ValueError(f"t={t!r} outside [{self.t0!r}, {self.t1!r}]")
-        pts = self.breakpoints
-        epochs = [p[0] for p in pts]
-        j = bisect_right(epochs, t) - 1
-        tj, x1, x2 = pts[j]
-        if t == tj or j == len(pts) - 1:
-            return (x1, x2)
-        tk, y1, y2 = pts[j + 1]
-        w = (t - tj) / (tk - tj)
-        return (x1 + w * (y1 - x1), x2 + w * (y2 - x2))
 
 
 # Light-plan codes.  A light switch is 2 * (queue - 1) + kind, so sorting on
@@ -298,12 +283,6 @@ def _switches(plan: PhasePlan, horizon: float, t0: float) -> list[tuple[float, i
             base = nxt
     out.sort()
     return out
-
-
-def build_switch_epochs(plan: PhasePlan, horizon: float, t0: float = 0.0):
-    """All light-switch events in [t0, horizon) as (epoch, kind, queue),
-    sorted by epoch with queue 1 first on ties."""
-    return [(e, code & 1, (code >> 1) + 1) for e, code, _ in _switches(plan, horizon, t0)]
 
 
 def _phase_at_left(c: float, th: float, t0: float) -> tuple[bool, float]:
@@ -409,7 +388,8 @@ def simulate(
     at t0), the closing one the state at the horizon.
 
     The window outputs y and jac are computed in the same pass, bit for bit
-    equal to `queue_integral` and `ipa.run_window` over the log.  With
+    equal to the tests' log-driven reference (`queue_integral` over the
+    breakpoints, `run_window` over the log, in `tests/ipa_reference.py`).  With
     log=False the event log and the breakpoints are not built (both lists
     stay empty), which is all a closed-loop plant needs.
 
@@ -487,7 +467,8 @@ def simulate(
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
     # v22 = dx2/dtheta2 and v21 = dx2/dtheta1 with their integrals r11, r22,
     # r21 up to tp, the latest event epoch; cs/bs are the diagonal rules'
-    # survived-red tally and busy-start service rate (see ipa.diag_on_event).
+    # survived-red tally and busy-start service rate (the log-driven
+    # `diag_on_event` in tests/ipa_reference.py spells the rule out).
     q1 = q2 = 0.0
     xl1, xl2 = x1, x2
     v11 = v22 = v21 = 0.0
@@ -728,31 +709,3 @@ def simulate(
     w = horizon - t0
     return TandemTrajectory(t0, horizon, phi, breakpoints, events, (x1, x2),
                             (q1 / w, q2 / w), JacobianEstimate(r11 / w, r21 / w, r22 / w, w))
-
-
-def queue_integral(traj: TandemTrajectory, t_a: float, t_b: float) -> tuple[float, float]:
-    """Time-averaged queue contents over [t_a, t_b): exact trapezoid sums
-    over the piecewise-linear path, divided by the window length."""
-    if not (traj.t0 <= t_a < t_b <= traj.t1):
-        raise ValueError(
-            f"window [{t_a!r}, {t_b!r}) not inside the simulated span "
-            f"[{traj.t0!r}, {traj.t1!r})")
-    pts = traj.breakpoints
-    epochs = [p[0] for p in pts]
-    j = bisect_right(epochs, t_a) - 1
-    acc1 = acc2 = 0.0
-    xl1, xl2 = traj.state_at(t_a)
-    tl = t_a
-    while tl < t_b:
-        j += 1
-        if j >= len(pts) or pts[j][0] >= t_b:
-            xr1, xr2 = traj.state_at(t_b)
-            tr = t_b
-        else:
-            tr, xr1, xr2 = pts[j]
-        dt = tr - tl
-        acc1 += 0.5 * (xl1 + xr1) * dt
-        acc2 += 0.5 * (xl2 + xr2) * dt
-        tl, xl1, xl2 = tr, xr1, xr2
-    w = t_b - t_a
-    return (acc1 / w, acc2 / w)

@@ -1,6 +1,14 @@
-"""Sample-path derivatives of queue content with respect to red durations.
+"""Log-driven reference for simulate's online window outputs.
 
-Between events the queue trajectories are linear in time and affine in the
+`simcore.simulate` computes each window's averaged contents y and its
+sample-path Jacobian J in the pass that applies the events.  This module
+computes the same two outputs a second way, from a logged window only: the
+trapezoid sums over the breakpoints (`queue_integral`, `state_at`) and the
+sensitivity rules fed one logged event at a time (`run_window`).  The tests
+require the two ways to agree bit for bit.
+
+Sample-path derivatives of queue content with respect to red durations:
+between events the queue trajectories are linear in time and affine in the
 red durations theta, so each derivative of interest is piecewise constant
 and changes only at logged events.  The accumulators below hold one such
 derivative (the instantaneous value) together with its running time
@@ -18,17 +26,16 @@ each such moving jump contributes its height times the epoch's shift rate.
 d x_1/d theta_2 is structurally zero: queue 1 never sees queue 2.
 
 All rules read one-sided limits off the event annotations; nothing here
-re-simulates or replays trajectories.  `simcore.simulate` applies the same
-rules online to produce each trajectory's `jac`; this log-driven version is
-the reference it is tested against.
+re-simulates or replays trajectories.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .simcore import (
+from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
     EMPTY_START,
@@ -41,6 +48,51 @@ from .simcore import (
 )
 
 NAN = math.nan
+
+
+def state_at(traj: TandemTrajectory, t: float) -> tuple[float, float]:
+    """Linear interpolation of (x1, x2); exact at breakpoints."""
+    if not traj.breakpoints:
+        raise ValueError("trajectory has no breakpoints; simulate it with log=True")
+    if not (traj.t0 <= t <= traj.t1):
+        raise ValueError(f"t={t!r} outside [{traj.t0!r}, {traj.t1!r}]")
+    pts = traj.breakpoints
+    epochs = [p[0] for p in pts]
+    j = bisect_right(epochs, t) - 1
+    tj, x1, x2 = pts[j]
+    if t == tj or j == len(pts) - 1:
+        return (x1, x2)
+    tk, y1, y2 = pts[j + 1]
+    w = (t - tj) / (tk - tj)
+    return (x1 + w * (y1 - x1), x2 + w * (y2 - x2))
+
+
+def queue_integral(traj: TandemTrajectory, t_a: float, t_b: float) -> tuple[float, float]:
+    """Time-averaged queue contents over [t_a, t_b): exact trapezoid sums
+    over the piecewise-linear path, divided by the window length."""
+    if not (traj.t0 <= t_a < t_b <= traj.t1):
+        raise ValueError(
+            f"window [{t_a!r}, {t_b!r}) not inside the simulated span "
+            f"[{traj.t0!r}, {traj.t1!r})")
+    pts = traj.breakpoints
+    epochs = [p[0] for p in pts]
+    j = bisect_right(epochs, t_a) - 1
+    acc1 = acc2 = 0.0
+    xl1, xl2 = state_at(traj, t_a)
+    tl = t_a
+    while tl < t_b:
+        j += 1
+        if j >= len(pts) or pts[j][0] >= t_b:
+            xr1, xr2 = state_at(traj, t_b)
+            tr = t_b
+        else:
+            tr, xr1, xr2 = pts[j]
+        dt = tr - tl
+        acc1 += 0.5 * (xl1 + xr1) * dt
+        acc2 += 0.5 * (xl2 + xr2) * dt
+        tl, xl1, xl2 = tr, xr1, xr2
+    w = t_b - t_a
+    return (acc1 / w, acc2 / w)
 
 
 @dataclass(slots=True)

@@ -24,15 +24,14 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_line
-from tandemflow.ipa import JacobianEstimate, run_window
 from tandemflow.oracle import DEFAULT_DET_H, DEFAULT_DET_TOL, \
     DEFAULT_STOCH_H, DEFAULT_STOCH_TOL, deterministic_scenarios, \
     run_battery, stochastic_scenarios
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED, GuardConfig, \
     run_closed_loop
 from tandemflow.scenario import default_paper_config, run_sweep, summarize
-from tandemflow.simcore import PhasePlan, ServiceProfile, constant_rate, \
-    queue_integral, simulate
+from tandemflow.simcore import JacobianEstimate, PhasePlan, ServiceProfile, \
+    constant_rate, simulate
 
 ZETAS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
@@ -70,9 +69,8 @@ def single_cycle(theta2):
     plan = PhasePlan(1.0, 1.0, 0.4, theta2)
     service = ServiceProfile("constant", 5.0, 5.0)
     traj = simulate(constant_rate(2.0, 1.0), constant_rate(0.0, 1.0),
-                    plan, service, 1.0, (0.0, 0.0), 1.0)
-    jac, _, _, _ = run_window(traj)
-    return queue_integral(traj, 0.0, 1.0), jac
+                    plan, service, 1.0, (0.0, 0.0), 1.0, log=False)
+    return traj.y, traj.jac
 
 
 def test_1_analytic_fixtures():

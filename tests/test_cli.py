@@ -113,6 +113,25 @@ class TestExitCodes:
             assert main(["run", "--config", str(p)]) == 2
             assert f"config error: {key} must be finite" in capsys.readouterr().err
 
+    def test_theta_box_past_the_cycle(self, tmp_path, capsys):
+        p = tmp_path / "box.cfg"
+        p.write_text("theta_max_frac = 1.5\nr1 = 50\nr2 = 50\nnum_control_cycles = 12\n")
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert "config error: theta_max_frac" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_past_uint64(self, tmp_path, capsys):
+        big = str(2 ** 64)
+        assert main(["run", "--seed", big, "--out", str(tmp_path / "run.csv")]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        p = tmp_path / "seed.cfg"
+        p.write_text(f"seed = {big}\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert main(["print-config", "--seed", str(2 ** 64 - 1)]) == 0
+        assert f"seed = {2 ** 64 - 1}" in capsys.readouterr().out
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 

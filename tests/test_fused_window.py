@@ -1,11 +1,12 @@
 """simulate's online window outputs against the log-driven reference.
 
 simulate computes each window's averages y, Jacobian J and end state in the
-pass that applies the events.  queue_integral over the breakpoints and
-ipa.run_window over the event log are the reference implementation: the
-two must agree bit for bit, with the log built or not, on every window of a
-reduced table1 sweep and of both gradient-oracle batteries.  One recorded
-digest pins every field of every logged event on a fixed set of windows.
+pass that applies the events.  The log-driven reference in ipa_reference,
+queue_integral over the breakpoints and run_window over the event log,
+computes them a second way: the two must agree bit for bit, with the log
+built or not, on every window of a reduced table1 sweep and of both
+gradient-oracle batteries.  One recorded digest pins every field of every
+logged event on a fixed set of windows.
 """
 
 import dataclasses
@@ -14,8 +15,8 @@ import random
 
 import pytest
 
+from ipa_reference import queue_integral, run_window, state_at
 from tandemflow.cli import DEFAULT_ZETAS
-from tandemflow.ipa import run_window
 from tandemflow.oracle import (
     DEFAULT_DET_H,
     DEFAULT_STOCH_H,
@@ -33,7 +34,6 @@ from tandemflow.simcore import (
     PiecewiseConstantRate,
     ServiceProfile,
     constant_rate,
-    queue_integral,
     simulate,
 )
 
@@ -47,7 +47,7 @@ def bits(*xs):
 
 def fused(traj):
     jac = traj.jac
-    return bits(*traj.y, jac.j11, jac.j21, jac.j22, jac.window, *traj.end_state())
+    return bits(*traj.y, jac.j11, jac.j21, jac.j22, jac.window, *traj.x_end)
 
 
 def reference(traj):
@@ -86,7 +86,7 @@ def test_reduced_table1_sweep(zeta):
             jac = rec.jac
             assert bits(*rec.y, jac.j11, jac.j21, jac.j22) == \
                 bits(*traj.y, traj.jac.j11, traj.jac.j21, traj.jac.j22)
-            x = traj.end_state()
+            x = traj.x_end
 
 
 def test_oracle_battery_windows():
@@ -130,7 +130,7 @@ def test_reference_passes_need_the_log():
     with pytest.raises(ValueError, match="log=True"):
         queue_integral(traj, 0.0, 1.0)
     with pytest.raises(ValueError, match="log=True"):
-        traj.state_at(0.5)
+        state_at(traj, 0.5)
     with pytest.raises(ValueError, match="log=True"):
         run_window(traj)
 

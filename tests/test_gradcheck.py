@@ -11,7 +11,6 @@ import dataclasses
 import pytest
 
 import tandemflow.oracle as oracle
-from tandemflow.ipa import JacobianEstimate
 from tandemflow.oracle import (
     DEFAULT_DET_H,
     DEFAULT_DET_TOL,
@@ -26,6 +25,7 @@ from tandemflow.oracle import (
     stochastic_scenarios,
 )
 from tandemflow.simcore import (
+    JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,

@@ -10,13 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tandemflow.ipa import CrossIpaAccumulator, DiagIpaAccumulator, \
+from ipa_reference import CrossIpaAccumulator, DiagIpaAccumulator, \
     cross_on_event, diag_on_event, run_window
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED, IDENTITY, \
     GuardConfig, invert_gain
 from tandemflow.scenario import ExperimentConfig, OnOffSpec, gen_onoff, \
     run_replication
-from tandemflow.simcore import PhasePlan, ServiceProfile, simulate
+from tandemflow.simcore import JacobianEstimate, PhasePlan, ServiceProfile, \
+    simulate
 
 N_SCENARIOS = 110
 N_CONFIGS = 105
@@ -86,7 +87,7 @@ class TestTrajectoryProperties:
                 net1 += (prev.a1_r - out1) * dt
                 net2 += (prev.alpha2_r - out2) * dt
             _, x1a, x2a = traj.breakpoints[0]
-            x1b, x2b = traj.end_state()
+            x1b, x2b = traj.x_end
             assert x1b - x1a == pytest.approx(net1, abs=1e-9)
             assert x2b - x2a == pytest.approx(net2, abs=1e-9)
 
@@ -112,7 +113,7 @@ class TestTrajectoryProperties:
             m = interior[salt % len(interior)]
             head = simulate(arr1, arr2, plan, service, phi, x0, m)
             tail = simulate(arr1, arr2, plan, service, phi,
-                            head.end_state(), horizon, t0=m)
+                            head.x_end, horizon, t0=m)
             assert head.breakpoints == \
                 [bp for bp in traj.breakpoints if bp[0] <= m]
             assert tail.breakpoints == \
@@ -149,8 +150,6 @@ class TestAccumulatorProperties:
 
 class TestGainProperties:
     def test_inverse_product_under_random_jacobians(self):
-        from tandemflow.ipa import JacobianEstimate
-
         rng = np.random.default_rng(7)
         g = GuardConfig()
         checked = 0

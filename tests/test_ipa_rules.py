@@ -1,5 +1,8 @@
 """Event-rule sensitivity accumulators against hand-derived trajectories.
 
+The accumulators are the log-driven reference in ipa_reference; simulate
+applies the same rules online, and test_fused_window holds the two equal.
+
 The single-cycle traces used here have closed-form derivative values, so
 most assertions are exact float comparisons: the accumulators are required
 to reproduce the same arithmetic, not merely approximate it.
@@ -10,10 +13,9 @@ import random
 
 import pytest
 
-from tandemflow.ipa import (
+from ipa_reference import (
     CrossIpaAccumulator,
     DiagIpaAccumulator,
-    JacobianEstimate,
     assemble_jacobian,
     cross_on_event,
     diag_on_event,
@@ -26,6 +28,7 @@ from tandemflow.simcore import (
     GREEN_START,
     RED_START,
     Event,
+    JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
@@ -286,7 +289,7 @@ class TestAssembly:
     def test_structural_zero_and_rows(self):
         jac = JacobianEstimate(1.5, -0.5, 2.5, 20.0)
         assert jac.j12 == 0.0
-        assert jac.rows() == ((1.5, 0.0), (-0.5, 2.5))
+        assert ((jac.j11, jac.j12), (jac.j21, jac.j22)) == ((1.5, 0.0), (-0.5, 2.5))
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from tandemflow.ipa import JacobianEstimate
 from tandemflow.regulator import (
     CENTRALIZED,
     DECENTRALIZED,
@@ -18,6 +17,7 @@ from tandemflow.regulator import (
     run_closed_loop,
 )
 from tandemflow.scenario import default_paper_config
+from tandemflow.simcore import JacobianEstimate
 
 WIDE_OPEN = GuardConfig(epsilon_j=1e-30, step_cap=(1e9, 1e9),
                         theta_min=(1e-12, 1e-12), theta_max=(1e12, 1e12))

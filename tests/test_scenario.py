@@ -216,6 +216,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(service_mode="ramp")
 
+    @pytest.mark.parametrize("frac", [1.0, 1.5])
+    def test_theta_box_must_stay_inside_the_cycle(self, frac):
+        # At 1.0 the clamp can put theta on c; above it, past c.
+        with pytest.raises(ConfigError, match="theta_max_frac"):
+            ExperimentConfig(theta_max_frac=frac)
+
+    def test_seed_must_fit_the_uint64_key(self):
+        assert ExperimentConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=2 ** 64)
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(f"seed = {2 ** 64}\n")
+
     def test_zero_control_cycles_is_legal(self):
         cfg = ExperimentConfig(num_control_cycles=0, replications=2)
         assert run_replication(cfg) == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ipa_reference import queue_integral, state_at
 from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
@@ -14,13 +15,19 @@ from tandemflow.simcore import (
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
-    build_switch_epochs,
+    _switches,
     constant_rate,
-    queue_integral,
     simulate,
 )
 
 CONST5 = ServiceProfile("constant", 5.0, 5.0)
+
+
+def build_switch_epochs(plan, horizon, t0=0.0):
+    """All light-switch events in [t0, horizon) as (epoch, kind, queue),
+    sorted by epoch with queue 1 first on ties: simulate's light plan with
+    each switch code unpacked."""
+    return [(e, code & 1, (code >> 1) + 1) for e, code, _ in _switches(plan, horizon, t0)]
 
 
 def outflow_rate(x: float, alpha: float, beta: float) -> float:
@@ -185,16 +192,16 @@ class TestSingleCycleTraces:
         (bs2,) = events_of(traj, BUSY_START, queue=2)
         assert bs2.epoch == 0.4
         assert (bs2.trigger_kind, bs2.trigger_queue) == (GREEN_START, 1)
-        assert traj.state_at(0.6)[1] == pytest.approx(1.0, abs=1e-12)
+        assert state_at(traj, 0.6)[1] == pytest.approx(1.0, abs=1e-12)
         # Flat while both queues run at rate 5, then drains at slope 3.
-        assert traj.state_at(2.0 / 3.0)[1] == pytest.approx(1.0, abs=1e-12)
-        assert traj.state_at(0.9)[1] == pytest.approx(0.3, abs=1e-12)
+        assert state_at(traj, 2.0 / 3.0)[1] == pytest.approx(1.0, abs=1e-12)
+        assert state_at(traj, 0.9)[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_queue_2_empties_at_horizon(self):
         traj = sim_backed_up()
         (empty2,) = events_of(traj, EMPTY_START, queue=2)
         assert empty2.epoch == pytest.approx(1.0, abs=1e-12)
-        assert traj.end_state()[1] == 0.0
+        assert traj.x_end[1] == 0.0
 
     def test_averages_with_backup(self):
         g1, g2 = queue_integral(sim_backed_up(), 0.0, 1.0)
@@ -215,14 +222,14 @@ class TestDegenerateInputs:
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
         traj = simulate(constant_rate(0.0, 2.0), constant_rate(0.0, 2.0),
                         plan, CONST5, 0.9, (1.2, 0.6), 2.0)
-        assert traj.end_state() == (0.0, 0.0)
+        assert traj.x_end == (0.0, 0.0)
         assert len(events_of(traj, EMPTY_START, queue=1)) == 1
 
     def test_unbounded_growth_is_not_an_error(self):
         plan = PhasePlan(1.0, 1.0, 0.9, 0.4)
         traj = simulate(constant_rate(4.9, 3.0), constant_rate(0.0, 3.0),
                         plan, CONST5, 1.0, (0.0, 0.0), 3.0)
-        assert traj.end_state()[0] > 10.0
+        assert traj.x_end[0] > 10.0
 
 
 class TestValidation:
@@ -317,7 +324,7 @@ class TestExactness:
         for m in interior:
             head = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), m)
             tail = simulate(arr1, arr2, plan, CONST5, 0.9,
-                            head.end_state(), 3.0, t0=m)
+                            head.x_end, 3.0, t0=m)
             assert head.breakpoints == [bp for bp in full.breakpoints
                                         if bp[0] <= m]
             assert tail.breakpoints == [bp for bp in full.breakpoints
@@ -331,19 +338,19 @@ class TestExactness:
         for m in (0.17, 0.93, 1.618, 2.41):
             head = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), m)
             tail = simulate(arr1, arr2, plan, CONST5, 0.9,
-                            head.end_state(), 3.0, t0=m)
+                            head.x_end, 3.0, t0=m)
             for t in (m, 2.0, 2.9):
                 if t < m:
                     continue
-                a = full.state_at(t)
-                b = tail.state_at(t)
+                a = state_at(full, t)
+                b = state_at(tail, t)
                 assert a[0] == pytest.approx(b[0], abs=1e-12)
                 assert a[1] == pytest.approx(b[1], abs=1e-12)
 
     def test_state_at_breakpoints_is_exact(self):
         traj = sim_backed_up()
         for t, x1, x2 in traj.breakpoints:
-            assert traj.state_at(t) == (x1, x2)
+            assert state_at(traj, t) == (x1, x2)
 
     def test_integral_additivity(self):
         traj = sim_backed_up()
@@ -365,7 +372,7 @@ class TestExactness:
             net1 += (prev.a1_r - out1) * dt
             net2 += (prev.alpha2_r - out2) * dt
         x1a, x2a = traj.breakpoints[0][1], traj.breakpoints[0][2]
-        x1b, x2b = traj.end_state()
+        x1b, x2b = traj.x_end
         assert x1b - x1a == pytest.approx(net1, abs=1e-9)
         assert x2b - x2a == pytest.approx(net2, abs=1e-9)
 
@@ -393,6 +400,6 @@ class TestMidstreamWindows:
         traj = simulate(constant_rate(3.0, 1.0), constant_rate(0.0, 1.0),
                         plan, prof, 1.0, (0.0, 0.0), 1.0)
         # Slope sequence for x1: +3 (red), +2 (ramp at 1), -2 (ramp at 5).
-        assert traj.state_at(0.4)[0] == pytest.approx(1.2, abs=1e-12)
-        assert traj.state_at(0.6)[0] == pytest.approx(1.6, abs=1e-12)
-        assert traj.state_at(1.0)[0] == pytest.approx(0.8, abs=1e-12)
+        assert state_at(traj, 0.4)[0] == pytest.approx(1.2, abs=1e-12)
+        assert state_at(traj, 0.6)[0] == pytest.approx(1.6, abs=1e-12)
+        assert state_at(traj, 1.0)[0] == pytest.approx(0.8, abs=1e-12)
