@@ -171,9 +171,12 @@ class ExperimentConfig:
         # A theta box reaching c would let the clamp put a red on the cycle end.
         if not self.theta_max_frac < 1.0:
             raise ConfigError(f"theta_max_frac must be < 1, got {self.theta_max_frac!r}")
+        if not 0.0 < self.theta_min_frac < self.theta_max_frac:
+            raise ConfigError(f"theta_min_frac must lie in (0, theta_max_frac="
+                              f"{self.theta_max_frac!r}), got {self.theta_min_frac!r}")
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi={self.phi!r} outside [0, 1]")
-        for nm in ("c1", "c2", "beta_max1", "beta_max2"):
+        for nm in ("c1", "c2", "beta_max1", "beta_max2", "eps_j", "step_cap"):
             v = getattr(self, nm)
             if not v > 0.0:
                 raise ConfigError(f"{nm} must be > 0, got {v!r}")

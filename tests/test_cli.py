@@ -121,6 +121,22 @@ class TestExitCodes:
         assert "config error: theta_max_frac" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["eps_j", "step_cap", "theta_min_frac"])
+    def test_nonpositive_guard_key(self, tmp_path, capsys, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{key} = 0\n")
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert f"config error: {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_theta_box(self, tmp_path, capsys):
+        p = tmp_path / "box.cfg"
+        p.write_text("theta_min_frac = 0.6\ntheta_max_frac = 0.4\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        assert "config error: theta_min_frac must lie in (0, theta_max_frac=0.4)" in \
+            capsys.readouterr().err
+
     def test_seed_past_uint64(self, tmp_path, capsys):
         big = str(2 ** 64)
         assert main(["run", "--seed", big, "--out", str(tmp_path / "run.csv")]) == 2

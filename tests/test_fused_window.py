@@ -6,11 +6,14 @@ queue_integral over the breakpoints and run_window over the event log,
 computes them a second way: the two must agree bit for bit, with the log
 built or not, on every window of a reduced table1 sweep and of both
 gradient-oracle batteries.  One recorded digest pins every field of every
-logged event on a fixed set of windows.
+logged event on a fixed set of windows.  Hand-made and random low-load
+windows pin the unlogged pass's skip over arrival jumps that fall while
+both queues are empty.
 """
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -26,6 +29,7 @@ from tandemflow.oracle import (
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import _closed_loop, default_paper_config
 from tandemflow.simcore import (
+    BUSY_START,
     EXO_RATE_JUMP,
     GREEN_START,
     INTERNAL_RATE_JUMP,
@@ -232,3 +236,131 @@ def test_whole_event_log_is_pinned():
             digest.update(b"\n")
         digest.update(b"--\n")
     assert digest.hexdigest() == LOG_DIGEST
+
+
+# Hand-made windows around the unlogged pass's empty-period skip: constant
+# service at 5.0, both cycles 1.0, epochs exact binary fractions.  Each
+# entry is (arrivals1, arrivals2_tilde, (theta1, theta2), phi, x0, t0,
+# checked epoch, the (kind, queue) pairs logged there).  Every window opens
+# with both queues empty, and each checked epoch falls while they still are.
+EDGE_SERVICE = ServiceProfile("constant", 5.0, 5.0)
+EDGE_WINDOWS = {
+    # Skipped jumps at 0.5625 (queue 1) and 0.59375 (queue 2), then one
+    # that fills queue 1 in green; queue 1 stays busy into the next red.
+    "queue-1 jump fills queue 1": (
+        [(0.0, 0.0), (0.5625, 1.0), (0.625, 6.0), (0.96875, 0.0)],
+        [(0.0, 0.0), (0.59375, 0.5)], (0.5, 0.5), 0.5, (0.0, 0.0), 0.0,
+        0.625, [(EXO_RATE_JUMP, 1), (BUSY_START, 1)]),
+    # Queue 1 green, queue 2 red: a jump too small to fill queue 1 fills
+    # queue 2 through phi.
+    "queue-1 jump fills only queue 2": (
+        [(0.0, 0.0), (0.375, 1.0), (0.4375, 0.0)], [(0.0, 0.0)],
+        (0.25, 0.75), 0.5, (0.0, 0.0), 0.0,
+        0.375, [(EXO_RATE_JUMP, 1), (BUSY_START, 2)]),
+    "queue-2-only jump fills queue 2": (
+        [(0.0, 0.0)], [(0.0, 0.0), (0.5625, 1.0), (0.625, 6.0), (0.875, 0.0)],
+        (0.5, 0.5), 0.5, (0.0, 0.0), 0.0,
+        0.625, [(EXO_RATE_JUMP, 2), (BUSY_START, 2)]),
+    # phi * a1 + a2t - b2 is exactly 0.0 after the queue-1 jump at 0.625
+    # (0.5 * 4 + 3 - 5) and again after the queue-2 jump at 0.671875; a1 - b1
+    # is exactly 0.0 after the jump at 0.6875, which fills queue 2 only.
+    "net inflow exactly zero does not fill": (
+        [(0.0, 0.0), (0.625, 4.0), (0.6875, 5.0), (0.8125, 0.0)],
+        [(0.0, 0.0), (0.5625, 3.0), (0.65625, 2.0), (0.671875, 3.0), (0.8125, 0.0)],
+        (0.5, 0.5), 0.5, (0.0, 0.0), 0.0,
+        0.671875, [(EXO_RATE_JUMP, 2)]),
+    # A net inflow one ulp above zero still fills: queue 1 at 0.5625, and
+    # once it has drained, queue 2 at 0.625.
+    "net inflow one ulp above zero fills": (
+        [(0.0, 0.0), (0.5625, math.nextafter(5.0, 6.0)), (0.59375, 0.0)],
+        [(0.0, 0.0), (0.53125, 1.0), (0.625, math.nextafter(5.0, 6.0)), (0.875, 0.0)],
+        (0.5, 0.5), 0.0, (0.0, 0.0), 0.0,
+        0.5625, [(EXO_RATE_JUMP, 1), (BUSY_START, 1)]),
+    "arrival on a green onset": (
+        [(0.0, 0.0), (0.5, 6.0), (0.75, 0.0)], [(0.0, 0.0), (0.5625, 0.5)],
+        (0.5, 0.5), 0.5, (0.0, 0.0), 0.0,
+        0.5, [(GREEN_START, 1), (GREEN_START, 2), (EXO_RATE_JUMP, 1), (BUSY_START, 1)]),
+    # At 1.0 both lights turn red: the jump to 1.0 would not fill queue 1
+    # against the green rate, but fills it against the red one.
+    "arrival on a red start": (
+        [(0.0, 0.0), (0.75, 0.0), (1.0, 1.0), (1.125, 0.0)], [(0.0, 0.0)],
+        (0.5, 0.5), 0.5, (0.0, 0.0), 0.5,
+        1.0, [(RED_START, 1), (RED_START, 2), (EXO_RATE_JUMP, 1), (BUSY_START, 1)]),
+    # Neither jump at 0.8125 fills queue 2 alone (0.5 * 4 + 1 - 5 < 0 and
+    # 0 + 4 - 5 < 0); together they do.
+    "tied arrival jumps": (
+        [(0.0, 0.0), (0.8125, 4.0), (0.875, 0.0)],
+        [(0.0, 0.0), (0.75, 1.0), (0.8125, 4.0), (0.875, 0.0)],
+        (0.5, 0.5), 0.5, (0.0, 0.0), 0.0,
+        0.8125, [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2), (BUSY_START, 2)]),
+    # Jumps to the rate in force log nothing; t0 = 0.53125 is itself an
+    # arrival epoch inside the green.
+    "no-op jumps": (
+        [(0.0, 0.0), (0.53125, 0.0), (0.5625, 1.0), (0.625, 1.0), (0.6875, 6.0),
+         (0.75, 0.0)],
+        [(0.0, 0.5), (0.59375, 0.5), (0.65625, 0.5)], (0.5, 0.5), 0.5, (0.0, 0.0),
+        0.53125, 0.625, []),
+    # Signed zero contents: never filled, they leave the window unchanged.
+    "negative-zero contents": (
+        [(0.0, 0.0), (0.5625, 1.0), (0.625, 2.0), (0.9375, 0.0), (1.625, 1.0)],
+        [(0.0, 0.0), (0.59375, 0.5), (0.96875, 0.0), (1.75, 0.5)], (0.5, 0.5), 0.5,
+        (-0.0, -0.0), 0.0,
+        0.625, [(EXO_RATE_JUMP, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_WINDOWS))
+def test_empty_period_skip_edges(name):
+    a1, a2t, theta, phi, x0, t0, at, pairs = EDGE_WINDOWS[name]
+    a1, a2t = PiecewiseConstantRate(a1, 4.0), PiecewiseConstantRate(a2t, 4.0)
+    plan = PhasePlan(1.0, 1.0, *theta)
+    check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
+    logged = simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0=t0)
+    assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs
+    # Both queues are empty entering the checked batch.
+    last = max(p for p in logged.breakpoints if p[0] < at)
+    assert last[1:] == (0.0, 0.0) and at in [p[0] for p in logged.breakpoints]
+    assert not any(e.busy1_r or e.busy2_r for e in logged.events if e.epoch < at)
+    if name == "negative-zero contents":
+        assert bits(*logged.x_end, *logged.y) == bits(-0.0, -0.0, 0.0, 0.0)
+
+
+def random_low_load_window(rng):
+    """One window whose queues are empty much of the time: rates mostly
+    zero or small, some exactly at a fill threshold, epochs on a 1/16 grid
+    (tied with each other and with the light switches) or anywhere."""
+    h = 4.0
+    c2 = rng.choice([1.0, 1.25, 0.75])
+    on_grid = rng.random() < 0.5
+
+    def epoch():
+        return rng.randrange(1, 64) / 16.0 if on_grid else rng.uniform(0.0, h)
+
+    def arrivals():
+        epochs = sorted({epoch() for _ in range(rng.randrange(8, 60))})
+        rates = [rng.choice([0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.5, 5.0, rng.uniform(0.0, 3.0)])
+                 for _ in range(len(epochs) + 1)]
+        return PiecewiseConstantRate(list(zip([0.0] + epochs, rates)), h)
+
+    theta = [rng.randrange(1, 16) / 16.0 * c if on_grid else rng.uniform(0.05, 0.95) * c
+             for c in (1.0, c2)]
+    service = rng.choice([EDGE_SERVICE, TIE_SERVICE])
+    phi = rng.choice([0.0, 0.5, 0.9, 1.0, rng.random()])
+    x0 = rng.choice([(0.0, 0.0), (-0.0, -0.0), (5e-324, 0.0), (0.0, rng.uniform(0.0, 0.3))])
+    t0 = rng.choice([0.0, rng.randrange(1, 16) / 16.0, rng.uniform(0.0, 1.5)])
+    return arrivals(), arrivals(), PhasePlan(1.0, c2, *theta), service, phi, x0, t0 + 2.0, t0
+
+
+def test_random_low_load_windows():
+    # The logged pass applies every jump as its own batch, so it is the
+    # oracle for the unlogged pass's skip.
+    rng = random.Random(11)
+    idle_jumps = 0
+    for _ in range(300):
+        a1, a2t, plan, service, phi, x0, horizon, t0 = random_low_load_window(rng)
+        logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
+        bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
+        assert fused(bare) == fused(logged)
+        idle_jumps += sum(e.kind == EXO_RATE_JUMP and not (e.busy1_r or e.busy2_r)
+                          for e in logged.events)
+    assert idle_jumps > 600  # 816 logged jumps into two empty queues

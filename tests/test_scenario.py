@@ -222,6 +222,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="theta_max_frac"):
             ExperimentConfig(theta_max_frac=frac)
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps_j", 0.0), ("eps_j", -1e-3), ("step_cap", 0.0), ("step_cap", -0.25),
+        ("theta_min_frac", 0.0), ("theta_min_frac", -0.1), ("theta_min_frac", 0.98)])
+    def test_guard_keys_are_named(self, key, value):
+        # The config's own key, not GuardConfig's field, in the message.
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(f"{key} = {value}\n")
+
+    def test_theta_box_must_be_nonempty(self):
+        with pytest.raises(ConfigError, match="theta_max_frac=0.01"):
+            ExperimentConfig(theta_max_frac=0.01)
+        cfg = ExperimentConfig(theta_min_frac=0.5, theta_max_frac=0.5000001)
+        assert cfg.guards().theta_min < cfg.guards().theta_max
+
     def test_seed_must_fit_the_uint64_key(self):
         assert ExperimentConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
         with pytest.raises(ConfigError, match="seed"):
