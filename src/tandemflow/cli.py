@@ -157,8 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("check-grad", "audit the Jacobian estimator with finite differences"),
             ("print-config", "echo the effective configuration")):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", help="experiment config file")
         p.add_argument("--out", help="output file (directory for table1)")
+        if name == "check-grad":
+            continue  # a fixed battery: it reads no experiment config
+        p.add_argument("--config", help="experiment config file")
         p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--mode", choices=(CENTRALIZED, DECENTRALIZED),
                        help="override the controller mode")
@@ -187,13 +189,13 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "check-grad":
+            return cmd_check_grad(args.out)
         cfg = _effective_config(args)
         if args.command == "run":
             return cmd_run(cfg, args.out)
         if args.command == "table1":
             return cmd_table1(cfg, args.out, _parse_zetas(args.zeta_list))
-        if args.command == "check-grad":
-            return cmd_check_grad(args.out)
         _write(Path(args.out) if args.out else None,
                config_text(cfg).splitlines())
         return 0

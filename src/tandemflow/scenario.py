@@ -180,6 +180,15 @@ class ExperimentConfig:
             v = getattr(self, nm)
             if not v > 0.0:
                 raise ConfigError(f"{nm} must be > 0, got {v!r}")
+        # The guards scale these fractions by each cycle length; a product
+        # that underflows must fail here, by the key's name.
+        for c, cn in ((self.c1, "c1"), (self.c2, "c2")):
+            if not self.step_cap * c > 0.0:
+                raise ConfigError(f"step_cap={self.step_cap!r} times {cn}={c!r} underflows to 0")
+            lo, hi = self.theta_min_frac * c, self.theta_max_frac * c
+            if not 0.0 < lo < hi:
+                raise ConfigError(f"theta_min_frac={self.theta_min_frac!r} times {cn}={c!r} "
+                                  f"leaves no theta box: [{lo!r}, {hi!r}]")
         for nm in ("r1", "r2"):
             v = getattr(self, nm)
             if not v >= 0.0:

@@ -54,7 +54,7 @@ class PhasePlan:
     theta_i is the red duration of queue i's light; it must lie strictly
     inside (0, c_i) so every cycle has both a red and a green interval.  A
     theta_i within rounding of c_i can still round a green onset onto its
-    cycle's end; that green is then empty (see `_switches`).
+    cycle's end; that green is then empty (see `_light_plan`).
     """
 
     c1: float
@@ -257,101 +257,67 @@ class TandemTrajectory:
 STEP = 4
 
 
-def _switches(plan: PhasePlan, horizon: float, t0: float) -> list[tuple[float, int, float]]:
-    """All light switches in [t0, horizon) as (epoch, code, 0.0), in batch
-    order.  Epochs are k*c_i products, never running sums, so repeated calls
-    agree bitwise.
+def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: float):
+    """The light plan of the window [t0, horizon) and the light state in force
+    at t0, as (stream, (green1, b1), (green2, b2)).
 
-    A green onset k*c + theta that rounds onto or past the next red start
-    (k+1)*c, which only a theta within rounding of c can do, is dropped:
+    Each queue's red starts k*c, green onsets k*c + theta and, under
+    staircase service, steps k*c + theta + offset are enumerated from cycle
+    max(int(t0 // c) - 1, 0) as products and sums, never running sums, so
+    every window agrees bitwise on every epoch.  Entries are (epoch, code,
+    rate): a red start carries 0.0 and a green onset the rate it opens at
+    (constant service is the one-step staircase [(0.0, beta_max)]).  A green
+    holds the steps strictly after its onset and strictly before its
+    queue's next red start or the horizon: a step on the red start is
+    cancelled by it.  A green onset that rounds onto or past the next red
+    start, which only a theta within rounding of c can cause, is dropped:
     that cycle's green is empty and the light stays red.
+
+    One rule splits the entries at t0: a switch before t0 or a step at or
+    before t0 (the staircase is right-continuous) is in force, and the last
+    one in force sets the queue's phase and rate; with none, the light is
+    red.  The rest is the stream, in batch order and ended by the sentinel
+    (horizon, -1, 0.0): a switch at exactly t0 is applied by the window's
+    first batch.
     """
     if not horizon > t0 >= 0.0:
         raise ValueError(f"need 0 <= t0 < horizon, got t0={t0!r} horizon={horizon!r}")
-    out = []
-    for red, c, th in ((0, plan.c1, plan.theta1), (2, plan.c2, plan.theta2)):
+    stream, in_force = [], []
+    for q, c, th, ramp, bmax in ((0, plan.c1, plan.theta1, service.ramp1, service.beta_max1),
+                                 (1, plan.c2, plan.theta2, service.ramp2, service.beta_max2)):
+        rate0, steps = (ramp.rates[0], list(zip(ramp.epochs[1:], ramp.rates[1:]))) if ramp else (bmax, ())
+        state = (False, 0.0)  # (green, rate) of the latest entry in force
         k = max(int(t0 // c) - 1, 0)
-        base = k * c
-        while base < horizon:
-            k += 1
+        nxt = k * c
+        while nxt < horizon:
+            base, k = nxt, k + 1
             nxt = k * c
-            if base >= t0:
-                out.append((base, red, 0.0))
+            if base < t0:
+                state = (False, 0.0)
+            else:
+                stream.append((base, 2 * q, 0.0))
             g = base + th
-            if t0 <= g < horizon and g < nxt:
-                out.append((g, red + 1, 0.0))
-            base = nxt
-    out.sort()
-    return out
-
-
-def _phase_at_left(c: float, th: float, t0: float) -> tuple[bool, float]:
-    """Light state just before t0: (green, green_onset_epoch).
-
-    Switches at exactly t0 count as not yet applied.  At t0 == 0 there is
-    no prior cycle; the pre-window state is red with no onset.  As in
-    `_switches`, a green onset that rounds onto its cycle's end leaves that
-    green empty.
-    """
-    if t0 <= 0.0:
-        return (False, 0.0)
-    k = int(t0 // c)
-    while k * c > t0:
-        k -= 1
-    while (k + 1) * c <= t0:
-        k += 1
-    u = t0 - k * c
-    if u == 0.0:
-        g = (k - 1) * c + th
-        if k == 0 or not g < t0:
-            return (False, 0.0)
-        return (True, g)  # tail of the previous cycle's green
-    if u <= th:
-        return (False, 0.0)
-    return (True, k * c + th)
-
-
-def _green_rate(ramp: PiecewiseConstantRate | None, bmax: float, elapsed: float) -> float:
-    """Service rate `elapsed` after a green onset."""
-    if ramp is None:
-        return bmax
-    return ramp.rates[bisect_right(ramp.epochs, elapsed) - 1]
-
-
-def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: float,
-                onsets: tuple[float | None, float | None]) -> list[tuple[float, int, float]]:
-    """The light-plan stream of the window [t0, horizon): (epoch, code,
-    step rate) in batch order, ended by the sentinel (horizon, -1, 0.0).
-
-    Under staircase service each green interval contributes the steps that
-    fall strictly after its onset and t0 and strictly before the queue's
-    next switch (its red start) or the horizon: a step on the red start is
-    cancelled by it.  onsets[i] is the onset of queue i+1's green in
-    progress at t0, else None.
-    """
-    items = _switches(plan, horizon, t0)
-    if service.mode == "ramp":
-        stairs = [list(zip(r.epochs, r.rates)) for r in (service.ramp1, service.ramp2)]
-        greens = []  # (onset, steps only after, queue index, steps only before)
-        ends = [horizon, horizon]  # the next switch of each queue
-        for e, code, _ in reversed(items):
-            q = code >> 1
-            if code & 1:
-                greens.append((e, e, q, ends[q]))
-            ends[q] = e
-        greens += [(onsets[q], t0, q, ends[q]) for q in (0, 1) if onsets[q] is not None]
-        for onset, after, q, end in greens:
-            for off, v in stairs[q]:
-                e = onset + off
-                if e >= end:
-                    break  # offsets increase, so the rest fall later still
-                if e > after:
-                    items.append((e, STEP + q, v))
-        # Plain tuple order: entries tie on (epoch, code) only as steps of
-        # one green, which a nondecreasing staircase keeps in their order.
-        items.sort()
-    items.append((horizon, -1, 0.0))
-    return items
+            if g < nxt and g < horizon:
+                if g < t0:
+                    state = (True, rate0)
+                else:
+                    stream.append((g, 2 * q + 1, rate0))
+                for off, v in steps:
+                    e = g + off
+                    if e >= nxt or e >= horizon:
+                        break  # offsets increase, so the rest fall later still
+                    if e <= g:
+                        continue  # rounds onto its onset
+                    if e <= t0:
+                        state = (True, v)
+                    else:
+                        stream.append((e, STEP + q, v))
+        in_force.append(state)
+    # Plain tuple order: entries tie on (epoch, code) only as steps of one
+    # green, which a nondecreasing staircase keeps in their order.
+    stream.sort()
+    stream.append((horizon, -1, 0.0))
+    return stream, in_force[0], in_force[1]
 
 
 def _arrival_stream(arr: PiecewiseConstantRate, t0: float, horizon: float):
@@ -385,7 +351,12 @@ def simulate(
     exactly at the horizon still logs its EmptyStart so the end state is an
     exact zero.  The log is bracketed by ControlCycleBoundary markers: the
     opening marker carries the state entering the window (before any events
-    at t0), the closing one the state at the horizon.
+    at t0), the closing one the state at the horizon.  The light phases and
+    service rates entering the window are those `_light_plan` finds in
+    force: the switches before t0 and the staircase steps at or before t0.
+    So a run restarted at one of its own batch epochs, from the state there,
+    repeats the rest of the run: the same end state, and the same events
+    after the restart epoch.
 
     The window outputs y and jac are computed in the same pass, bit for bit
     equal to the tests' log-driven reference (`queue_integral` over the
@@ -403,15 +374,15 @@ def simulate(
     takes about 2.0x an unlogged one, against 1.85-1.9x without the skip.
 
     The loop reads three streams, each a list ending in the sentinel
-    `horizon`: the light plan (switch epochs and, under staircase service,
-    the steps; see `_light_plan`) and the window's slices of the two arrival
-    processes.  The next epoch is the least of the three heads and the two
-    predicted emptyings; an exhausted stream rests on its sentinel, so no
-    head needs a bounds test.  A batch applies its changes in a fixed
-    priority order: light switches, queue 1's arrival jump, queue 2's, queue
-    1's staircase steps, queue 2's, emptyings, fillings.  The order fixes
-    the order of every float operation, which keeps y, J and the end state
-    reproducible bit for bit.
+    `horizon`: the light plan (the switches, each with the rate it sets, and
+    under staircase service the steps; see `_light_plan`) and the window's
+    slices of the two arrival processes.  The next epoch is the least of the
+    three heads and the two predicted emptyings; an exhausted stream rests
+    on its sentinel, so no head needs a bounds test.  A batch applies its
+    changes in a fixed priority order: light switches, queue 1's arrival
+    jump, queue 2's, queue 1's staircase steps, queue 2's, emptyings,
+    fillings.  The order fixes the order of every float operation, which
+    keeps y, J and the end state reproducible bit for bit.
 
     With the log, every arrival epoch ends a batch, including a jump to the
     rate already in force, which logs nothing: it still splits the drain
@@ -432,8 +403,6 @@ def simulate(
     merge into one calendar 81-86 us, and on the short check-grad windows
     (20-30 us each) the merge alone would add about 12 us.
     """
-    if not (0.0 <= t0 < horizon):
-        raise ValueError(f"need 0 <= t0 < horizon, got t0={t0!r} horizon={horizon!r}")
     for arr, name in ((arrivals1, "arrivals1"), (arrivals2_tilde, "arrivals2_tilde")):
         if arr.horizon < horizon:
             raise ValueError(f"{name} ends at {arr.horizon!r}, before the simulation horizon {horizon!r}")
@@ -444,18 +413,10 @@ def simulate(
         if not 0.0 <= x < INF:
             raise ValueError(f"initial contents of queue {i} must be finite and nonnegative, got {x!r}")
 
-    ramp1, ramp2 = service.ramp1, service.ramp2  # None under constant service
-    bmax1, bmax2 = service.beta_max1, service.beta_max2
-
-    # Pre-window light phases and service rates.
-    green1, onset1 = _phase_at_left(plan.c1, plan.theta1, t0)
-    green2, onset2 = _phase_at_left(plan.c2, plan.theta2, t0)
-    b1 = _green_rate(ramp1, bmax1, t0 - onset1) if green1 else 0.0
-    b2 = _green_rate(ramp2, bmax2, t0 - onset2) if green2 else 0.0
-
-    # The three streams and their heads hp, ha1, ha2.
-    lp = _light_plan(plan, service, t0, horizon,
-                     (onset1 if green1 else None, onset2 if green2 else None))
+    # The three streams and their heads hp, ha1, ha2, and the light phases
+    # and service rates in force entering the window.  `_light_plan` checks
+    # 0 <= t0 < horizon; the checks above bound the horizon first.
+    lp, (green1, b1), (green2, b2) = _light_plan(plan, service, t0, horizon)
     e1, r1, a1 = _arrival_stream(arrivals1, t0, horizon)
     e2, r2, a2t = _arrival_stream(arrivals2_tilde, t0, horizon)
     ip = i1 = i2 = 0
@@ -508,7 +469,7 @@ def simulate(
         if not at_end:
             # Light switches: the light-plan entries at t with codes below STEP.
             while hp == t:
-                code = lp[ip][1]
+                _, code, new = lp[ip]
                 if code >= STEP:
                     break
                 ip += 1
@@ -520,26 +481,18 @@ def simulate(
                 # the survived-red tally; queue 1's green onset moves a jump
                 # of queue 2's inflow.
                 if queue == 1:
-                    if kind == GREEN_START:
-                        green1 = True
-                        b1 = _green_rate(ramp1, bmax1, 0.0)
-                        if busy2:
-                            d1 = lb1 if busy1 else a1
-                            v21 += (phi * d1 + a2t) - (phi * (b1 if busy1 else a1) + a2t)
-                    else:
-                        green1, b1 = False, 0.0
-                        if busy1:
-                            cs1 += lb1
+                    green1, b1 = kind == GREEN_START, new
+                    if green1 and busy2:
+                        d1 = lb1 if busy1 else a1
+                        v21 += (phi * d1 + a2t) - (phi * (b1 if busy1 else a1) + a2t)
+                    elif not green1 and busy1:
+                        cs1 += lb1
                     if busy1:
                         v11 = (cs1 + b1) - bs1
                 else:
-                    if kind == GREEN_START:
-                        green2 = True
-                        b2 = _green_rate(ramp2, bmax2, 0.0)
-                    else:
-                        green2, b2 = False, 0.0
-                        if busy2:
-                            cs2 += lb2
+                    green2, b2 = kind == GREEN_START, new
+                    if not green2 and busy2:
+                        cs2 += lb2
                     if busy2:
                         v22 = (cs2 + b2) - bs2
                 if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:

@@ -130,6 +130,15 @@ class TestExitCodes:
         assert f"config error: {key} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["step_cap", "theta_min_frac"])
+    def test_guard_fraction_underflow(self, tmp_path, capsys, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{key} = 5e-324\nc1 = 0.5\ntheta1_init = 0.4\n")
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert f"config error: {key}=5e-324 times c1=0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_theta_box(self, tmp_path, capsys):
         p = tmp_path / "box.cfg"
         p.write_text("theta_min_frac = 0.6\ntheta_max_frac = 0.4\n")
@@ -244,6 +253,17 @@ class TestCheckGrad:
                           "flagged", "ok"]
         assert len(rows) >= 30 * 4
         assert all(r["ok"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("flag", [["--config", "x.cfg"], ["--seed", "5"],
+                                      ["--mode", "decentralized"], ["--replications", "3"]])
+    def test_takes_no_config_options(self, monkeypatch, tmp_path, flag):
+        # The battery is fixed, so check-grad rejects the experiment options
+        # as usage errors before it runs anything.
+        monkeypatch.setattr(cli, "run_battery", lambda *a: pytest.fail("battery ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-grad", *flag, "--out", str(tmp_path / "grad.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "grad.csv").exists()
 
     def test_failure_exits_nonzero(self, monkeypatch, tmp_path):
         bad = GradCheckReport("broken", (

@@ -8,7 +8,9 @@ built or not, on every window of a reduced table1 sweep and of both
 gradient-oracle batteries.  One recorded digest pins every field of every
 logged event on a fixed set of windows.  Hand-made and random low-load
 windows pin the unlogged pass's skip over arrival jumps that fall while
-both queues are empty.
+both queues are empty.  Seeded windows restarted at every breakpoint, and
+two hand-made windows that start on a staircase step and on a green onset,
+pin which light-plan entries are in force at t0.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from tandemflow.oracle import (
     stochastic_scenarios,
 )
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
-from tandemflow.scenario import _closed_loop, default_paper_config
+from tandemflow.scenario import _closed_loop, default_paper_config, gen_onoff
 from tandemflow.simcore import (
     BUSY_START,
     EXO_RATE_JUMP,
@@ -364,3 +366,88 @@ def test_random_low_load_windows():
         idle_jumps += sum(e.kind == EXO_RATE_JUMP and not (e.busy1_r or e.busy2_r)
                           for e in logged.events)
     assert idle_jumps > 600  # 816 logged jumps into two empty queues
+
+
+# Restarting a window at one of its own batch epochs, from the state there,
+# must leave the rest of the run as it was: which light switches and
+# staircase steps are in force at t0 is decided once, by the light plan.
+STAIRS = ServiceProfile(
+    "ramp", 5.0, 5.0,
+    ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.1, 4.0), (0.25, 5.0)], 1.0),
+    ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 1.0))
+
+
+def restart_faults(a1, a2t, plan, service, phi, x0, horizon, t0):
+    """Restart the logged window at each later breakpoint before the horizon
+    from the state there.  Returns the number of restarts and three lists of
+    restart epochs: those whose end state differs from the whole run's,
+    those whose (epoch, kind, queue) sequence after the restart epoch does,
+    and those where a switch logged at the restart epoch re-applies the
+    phase that the opening marker shows."""
+    whole = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
+    sig = [(e.epoch, e.kind, e.queue) for e in whole.events[1:-1]]
+    ends, logs, repeats = [], [], []
+    for t, x1, x2 in whole.breakpoints[1:-1]:
+        part = simulate(a1, a2t, plan, service, phi, (x1, x2), horizon, t0=t)
+        if bits(*part.x_end) != bits(*whole.x_end):
+            ends.append(t)
+        if [(e.epoch, e.kind, e.queue) for e in part.events[1:-1] if e.epoch > t] != \
+                [s for s in sig if s[0] > t]:
+            logs.append(t)
+        opening = part.events[0]
+        if any(e.epoch == t and e.kind in (RED_START, GREEN_START)
+               and (e.kind == GREEN_START) == (opening.green1_r, opening.green2_r)[e.queue - 1]
+               for e in part.events[1:-1]):
+            repeats.append(t)
+    return len(whole.breakpoints) - 2, (ends, logs, repeats)
+
+
+def test_restarts_at_every_breakpoint_change_nothing():
+    # Six 3 s windows on the reference on/off arrivals, with constant and
+    # staircase service and c2 in {0.7, 1.0, 1.3}.
+    cfg = default_paper_config()
+    rng = random.Random(3)
+    restarts, faults = 0, ([], [], [])
+    for w in range(6):
+        c2 = (0.7, 1.0, 1.3)[w % 3]
+        a1 = gen_onoff(cfg.alpha1_spec(), cfg.seed, 40.0, stream=2 * w)
+        a2t = gen_onoff(cfg.alpha2_spec(), cfg.seed, 40.0, stream=2 * w + 1)
+        plan = PhasePlan(1.0, c2, rng.uniform(0.2, 0.7), rng.uniform(0.2, 0.7) * c2)
+        t0 = rng.randrange(36) + rng.choice([0.0, rng.random()])
+        x0 = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
+        service = EDGE_SERVICE if w < 3 else STAIRS
+        n, found = restart_faults(a1, a2t, plan, service, cfg.phi, x0, t0 + 3.0, t0)
+        restarts += n
+        for into, epochs in zip(faults, found):
+            into += [(w, t) for t in epochs]
+    assert faults == ([], [], [])
+    assert restarts > 1000
+
+
+def test_staircase_step_at_t0_is_in_force():
+    # Queue 1 turns green at theta1 and steps up to 5.0 at theta1 + 0.25,
+    # which rounds to t0 while t0 - theta1 rounds below 0.25: the step
+    # must still be in force when the window starts at t0.
+    theta1, t0 = 0.4864174589902351, 0.736417458990235
+    assert theta1 + 0.25 == t0 and t0 - theta1 < 0.25
+    a1, a2t = constant_rate(3.0, 4.0), constant_rate(0.5, 4.0)
+    plan = PhasePlan(1.0, 1.0, theta1, 0.5)
+    whole = simulate(a1, a2t, plan, STAIRS, 0.9, (2.0, 0.5), 2.0)
+    head = simulate(a1, a2t, plan, STAIRS, 0.9, (2.0, 0.5), t0)
+    tail = simulate(a1, a2t, plan, STAIRS, 0.9, head.x_end, 2.0, t0=t0)
+    assert (tail.events[0].green1_r, tail.events[0].b1_r) == (True, 5.0)
+    assert bits(*tail.x_end) == bits(*whole.x_end)
+
+
+def test_green_onset_at_t0_applies_once():
+    # Queue 1's green onset 3*1.0 + 0.1 rounds to t0 = 3.1 while t0 - 3.0
+    # rounds above 0.1: the window opens red and the onset applies at t0,
+    # once.  Queue 1 drains from 1.0 at 3 - 1 per second, so j11 is the
+    # green rate 3 times 0.5 s busy over the 0.54 s window.
+    plan = PhasePlan(1.0, 1.0, 0.1, 0.5)
+    assert 3.0 + 0.1 == 3.1 and 3.1 - 3.0 > 0.1
+    traj = simulate(constant_rate(1.0, 4.0), constant_rate(0.41, 4.0), plan,
+                    ServiceProfile("constant", 3.0, 3.0), 0.9, (1.0, 0.0), 3.64, t0=3.1)
+    assert (traj.events[0].green1_r, traj.events[0].b1_r) == (False, 0.0)
+    assert [e.kind for e in traj.events if e.queue == 1 and e.epoch == 3.1] == [GREEN_START]
+    assert traj.jac.j11 == 2.7777777777777777

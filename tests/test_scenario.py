@@ -232,6 +232,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must"):
             parse_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("key", ["theta_min_frac", "step_cap"])
+    @pytest.mark.parametrize("cycle", ["c1", "c2"])
+    def test_guard_fractions_that_underflow_are_named(self, key, cycle):
+        # A positive fraction whose product with a cycle length underflows
+        # to 0.0 fails by its own key, not as GuardConfig's ValueError.
+        kw = {cycle: 0.5, "theta1_init": 0.4, "theta2_init": 0.4}
+        with pytest.raises(ConfigError, match=f"^{key}=5e-324 times {cycle}=0.5"):
+            ExperimentConfig(**kw, **{key: 5e-324})
+        ExperimentConfig(**kw, **{key: 1e-300})
+
     def test_theta_box_must_be_nonempty(self):
         with pytest.raises(ConfigError, match="theta_max_frac=0.01"):
             ExperimentConfig(theta_max_frac=0.01)

@@ -15,7 +15,7 @@ from tandemflow.simcore import (
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
-    _switches,
+    _light_plan,
     constant_rate,
     simulate,
 )
@@ -26,8 +26,9 @@ CONST5 = ServiceProfile("constant", 5.0, 5.0)
 def build_switch_epochs(plan, horizon, t0=0.0):
     """All light-switch events in [t0, horizon) as (epoch, kind, queue),
     sorted by epoch with queue 1 first on ties: simulate's light plan with
-    each switch code unpacked."""
-    return [(e, code & 1, (code >> 1) + 1) for e, code, _ in _switches(plan, horizon, t0)]
+    each switch code unpacked, its sentinel dropped."""
+    return [(e, code & 1, (code >> 1) + 1)
+            for e, code, _ in _light_plan(plan, CONST5, t0, horizon)[0][:-1]]
 
 
 def outflow_rate(x: float, alpha: float, beta: float) -> float:
