@@ -14,7 +14,6 @@ compared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 

@@ -12,14 +12,15 @@ outputs online: the time-averaged contents y by exact trapezoid sums, and the
 sample-path Jacobian J by diagonal and cross sensitivity rules applied at
 each event.  This is the package's only sensitivity pass.  On request it also
 returns the annotated event log, with one-sided limits of every rate at every
-discontinuity, which the finite-difference audit reads; the tests rebuild y
-and J from that log with a log-driven reference (`tests/ipa_reference.py`).
+discontinuity, which the finite-difference audit reads for its event
+signatures.  The tests check y, the end state and J against an independent
+simulator in exact rational arithmetic (`tests/exact_reference.py`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -36,16 +37,6 @@ INTERNAL_RATE_JUMP = 3
 BUSY_START = 4
 EMPTY_START = 5
 CONTROL_CYCLE_BOUNDARY = 6
-
-KIND_NAMES = {
-    RED_START: "RedStart",
-    GREEN_START: "GreenStart",
-    EXO_RATE_JUMP: "ExogenousRateJump",
-    INTERNAL_RATE_JUMP: "InternalRateJump",
-    BUSY_START: "BusyStart",
-    EMPTY_START: "EmptyStart",
-    CONTROL_CYCLE_BOUNDARY: "ControlCycleBoundary",
-}
 
 @dataclass(frozen=True, slots=True)
 class PhasePlan:
@@ -101,19 +92,6 @@ class PiecewiseConstantRate:
         if not (math.isfinite(horizon) and horizon > epochs[-1]):
             raise ValueError(f"horizon {horizon!r} must exceed the last segment epoch {epochs[-1]!r}")
         self.epochs, self.rates, self.horizon = epochs, rates, horizon
-
-    def rate_at(self, t: float) -> float:
-        """Value at time t (right-continuous lookup), for 0 <= t < horizon."""
-        if t < 0.0 or t >= self.horizon:
-            raise ValueError(f"t={t!r} outside [0, {self.horizon!r})")
-        return self.rates[bisect_right(self.epochs, t) - 1]
-
-    @property
-    def segments(self) -> list[tuple[float, float]]:
-        return list(zip(self.epochs, self.rates))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PiecewiseConstantRate({self.segments!r}, horizon={self.horizon!r})"
 
 
 def constant_rate(rate: float, horizon: float) -> PiecewiseConstantRate:
@@ -215,7 +193,6 @@ class JacobianEstimate:
     j11: float
     j21: float
     j22: float
-    window: float
 
     @property
     def j12(self) -> float:
@@ -224,26 +201,16 @@ class JacobianEstimate:
 
 @dataclass(slots=True)
 class TandemTrajectory:
-    """Exact piecewise-linear sample path over [t0, t1).
+    """The outputs of one simulated window [t0, horizon).
 
-    x_end is the state at t1, y the time-averaged contents over the window
-    and jac the window's sample-path Jacobian.  When the log is requested,
-    events is the annotated log, bracketed by ControlCycleBoundary markers
-    whose annotations give the state entering and leaving the window, and
-    breakpoints holds (epoch, x1, x2) at every batch from t0 to t1;
-    otherwise both lists are empty.
-
-    breakpoints is not the events' (x1, x2) under another name: it also
-    holds the batches that log no event (an arrival jump to the rate already
-    in force, a staircase step while the queue is idle).  Each such batch
-    still splits the trapezoid sums, so the log-driven reference of y needs
-    them.
+    x_end is the state at the horizon, y the time-averaged contents over the
+    window and jac the window's sample-path Jacobian.  When the log is
+    requested, events is the annotated log, bracketed by
+    ControlCycleBoundary markers whose annotations give the state entering
+    and leaving the window; otherwise it is empty.  The state at any batch
+    epoch t is the end state of the same run with horizon t.
     """
 
-    t0: float
-    t1: float
-    phi: float
-    breakpoints: list[tuple[float, float, float]]
     events: list[Event]
     x_end: tuple[float, float]
     y: tuple[float, float]
@@ -271,7 +238,8 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
     queue's next red start or the horizon: a step on the red start is
     cancelled by it.  A green onset that rounds onto or past the next red
     start, which only a theta within rounding of c can cause, is dropped:
-    that cycle's green is empty and the light stays red.
+    that cycle's green is empty, and the next red start is dropped with it,
+    so the light stays red through both cycles with no switch between.
 
     One rule splits the entries at t0: a switch before t0 or a step at or
     before t0 (the staircase is right-continuous) is in force, and the last
@@ -289,15 +257,17 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
         state = (False, 0.0)  # (green, rate) of the latest entry in force
         k = max(int(t0 // c) - 1, 0)
         nxt = k * c
+        stays_red = False  # the last green was dropped, so its red runs on
         while nxt < horizon:
             base, k = nxt, k + 1
             nxt = k * c
             if base < t0:
                 state = (False, 0.0)
-            else:
+            elif not stays_red:
                 stream.append((base, 2 * q, 0.0))
             g = base + th
-            if g < nxt and g < horizon:
+            stays_red = g >= nxt
+            if not stays_red and g < horizon:
                 if g < t0:
                     state = (True, rate0)
                 else:
@@ -358,20 +328,13 @@ def simulate(
     repeats the rest of the run: the same end state, and the same events
     after the restart epoch.
 
-    The window outputs y and jac are computed in the same pass, bit for bit
-    equal to the tests' log-driven reference (`queue_integral` over the
-    breakpoints, `run_window` over the log, in `tests/ipa_reference.py`).  With
-    log=False the event log and the breakpoints are not built (both lists
-    stay empty), which is all a closed-loop plant needs.
-
-    With log=True the log is a list of immutable `Event` named tuples, each
-    built inline at its site from one tuple of all 18 fields, its alpha2
-    limits computed there with the operands and order of the online rules.
-    On the ten stochastic check-grad windows (6,090 events) this cost
-    0.44-0.50 us per event on top of the unlogged pass, where a helper call
-    per event that filled a slots dataclass cost 0.74-0.83 us.  Since the
-    unlogged pass skips empty periods (below), a logged run of those windows
-    takes about 2.0x an unlogged one, against 1.85-1.9x without the skip.
+    The window outputs y and jac are computed in the same pass.  With
+    log=False the event log is not built (the list stays empty), which is
+    all a closed-loop plant needs; y, jac and the end state are the same
+    bits either way.  With log=True the log is a list of immutable `Event`
+    named tuples, each built inline at its site from one tuple of all 18
+    fields, its alpha2 limits computed there with the operands and order of
+    the online rules.
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -394,14 +357,10 @@ def simulate(
     empty-period skip).  It is exact: with both queues empty x1 = x2 = 0 and
     v11 = v22 = v21 = 0, so each term the batch would add is a zero, and no
     trigger is recorded without a filling.  The logged path keeps every
-    batch, since its log and breakpoints must show each jump.  On the
-    reference window (t = 200-220 s, theta = (0.31, 0.41)) it takes 606 of
-    1,787 batches.
+    batch, which is the reference the tests hold the skip to.
 
     The streams are slices of the rate processes' lists, with no per-call
-    numpy merge: slicing a 20 s window's arrivals takes about 5 us, a numpy
-    merge into one calendar 81-86 us, and on the short check-grad windows
-    (20-30 us each) the merge alone would add about 12 us.
+    numpy merge, which would cost more than a short window's whole run.
     """
     for arr, name in ((arrivals1, "arrivals1"), (arrivals2_tilde, "arrivals2_tilde")):
         if arr.horizon < horizon:
@@ -426,7 +385,6 @@ def simulate(
     busy2 = x2 > 0.0
 
     events: list[Event] = []
-    breakpoints: list[tuple[float, float, float]] = []
     append_event = events.append
     new_event = _new_event
     if log:
@@ -439,8 +397,9 @@ def simulate(
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
     # v22 = dx2/dtheta2 and v21 = dx2/dtheta1 with their integrals r11, r22,
     # r21 up to tp, the latest event epoch; cs/bs are the diagonal rules'
-    # survived-red tally and busy-start service rate (the log-driven
-    # `diag_on_event` in tests/ipa_reference.py spells the rule out).
+    # survived-red tally and busy-start service rate: while a queue stays
+    # busy, v = (cs + b) - bs, so each green onset raises it by the service
+    # rate it postponed and a red onset leaves it unchanged.
     q1 = q2 = 0.0
     xl1, xl2 = x1, x2
     v11 = v22 = v21 = 0.0
@@ -461,7 +420,7 @@ def simulate(
         # the first one that turns an idle queue 2's net inflow positive is
         # recorded as the trigger of its busy start.  IPA values are
         # integrated up to t only when the batch holds an event (hit), with
-        # their values from before the batch, as the log-driven rules do.
+        # their values from before the batch.
         trig2k, trig2q = -1, 0
         hit = at_end or empt1 or empt2
         p11, p22, p21 = v11, v22, v21
@@ -615,8 +574,6 @@ def simulate(
             r22 += p22 * (t - tp)
             r21 += p21 * (t - tp)
             tp = t
-        if log:
-            breakpoints.append((t, x1, x2))
         if at_end:
             break
 
@@ -693,5 +650,5 @@ def simulate(
         append_event(new_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
                                 green2, a1, b1, b1, b2, b2, al2, al2, -1, 0)))
     w = horizon - t0
-    return TandemTrajectory(t0, horizon, phi, breakpoints, events, (x1, x2),
-                            (q1 / w, q2 / w), JacobianEstimate(r11 / w, r21 / w, r22 / w, w))
+    return TandemTrajectory(events, (x1, x2), (q1 / w, q2 / w),
+                            JacobianEstimate(r11 / w, r21 / w, r22 / w))

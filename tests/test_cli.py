@@ -1,7 +1,5 @@
 """Command-line behavior: reproducible output, exit codes, summaries."""
 
-import dataclasses
-
 import pytest
 
 import tandemflow.cli as cli

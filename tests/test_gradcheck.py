@@ -3,7 +3,8 @@
 These tests treat the oracle itself as the unit under test and as the
 arbiter: the battery must pass, a corrupted estimator must fail it, and
 perturbations that straddle an event-order change must come back flagged
-instead of failing.
+instead of failing.  On the same two batteries the estimator is also held
+to the exact derivative from the exact-rational reference.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import dataclasses
 import pytest
 
 import tandemflow.oracle as oracle
+from exact_reference import H, assert_jacobian, exact_jacobian
 from tandemflow.oracle import (
     DEFAULT_DET_H,
     DEFAULT_DET_TOL,
@@ -94,7 +96,7 @@ class TestBatteries:
         def skewed(*args, **kwargs):
             traj = real(*args, **kwargs)
             jac = traj.jac
-            traj.jac = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22, jac.window)
+            traj.jac = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22)
             return traj
 
         monkeypatch.setattr(oracle, "simulate", skewed)
@@ -136,3 +138,32 @@ class TestFlagging:
         reports = run_battery(deterministic_scenarios(),
                               DEFAULT_DET_H, DEFAULT_DET_TOL)
         assert not any(r.all_flagged for r in reports)
+
+
+def window_args(scn: GradScenario):
+    return (scn.arrivals1, scn.arrivals2_tilde, scn.plan, scn.service, scn.phi, scn.x0,
+            scn.horizon, scn.t0)
+
+
+class TestExactDerivative:
+    def test_differences_at_h_and_2h_agree_exactly(self):
+        # On a fixed regime signature y is quadratic in theta, so its
+        # central difference is the same at every step that keeps the
+        # signature: the premise of the exact audit, checked on the
+        # deterministic battery.
+        held = 0
+        for scn in deterministic_scenarios():
+            cols = exact_jacobian(*window_args(scn))
+            assert exact_jacobian(*window_args(scn), h=2 * H) == cols, scn.name
+            held += sum(v is not None for col in cols for v in col)
+        assert held == 8 * 22  # every entry of every scenario
+
+    def test_jacobian_matches_the_exact_derivative_on_both_batteries(self):
+        # Every column whose signature holds at theta +- h, within a
+        # normwise relative error of 1e-12; j12 and the exact dy1/dtheta2
+        # are both exactly zero.
+        checked = 0
+        for scn in deterministic_scenarios() + stochastic_scenarios():
+            jac = oracle.analytic_jacobian(scn)
+            checked += assert_jacobian(jac, exact_jacobian(*window_args(scn)))
+        assert checked >= 60  # all 64 hold

@@ -5,13 +5,10 @@ randomization draws bursty on/off inputs, red splits, merge fractions and
 initial backlogs; configuration randomization drives full closed loops.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from ipa_reference import CrossIpaAccumulator, DiagIpaAccumulator, \
-    cross_on_event, diag_on_event, run_window
+from exact_reference import assert_close, assert_jacobian, exact_jacobian, exact_window
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED, IDENTITY, \
     GuardConfig, invert_gain
 from tandemflow.scenario import ExperimentConfig, OnOffSpec, gen_onoff, \
@@ -52,14 +49,15 @@ def random_scenarios():
                int(rng.integers(0, 2 ** 31)))
 
 
+def simulate_scenarios():
+    """(trajectory, inputs, beta, salt) for each random scenario."""
+    return [(simulate(*inputs), inputs, beta, salt)
+            for *inputs, beta, salt in random_scenarios()]
+
+
 @pytest.fixture(scope="module")
 def scenario_runs():
-    runs = []
-    for arr1, arr2, plan, service, phi, x0, horizon, beta, salt in \
-            random_scenarios():
-        traj = simulate(arr1, arr2, plan, service, phi, x0, horizon)
-        runs.append((traj, (arr1, arr2, plan, service, phi, x0, horizon),
-                     beta, salt))
+    runs = simulate_scenarios()
     assert len(runs) >= 100
     return runs
 
@@ -67,15 +65,14 @@ def scenario_runs():
 class TestTrajectoryProperties:
     def test_queue_contents_never_go_negative(self, scenario_runs):
         for traj, *_ in scenario_runs:
-            for _, x1, x2 in traj.breakpoints:
-                assert x1 >= 0.0
-                assert x2 >= 0.0
-
-    def test_event_states_agree_with_breakpoints(self, scenario_runs):
-        for traj, *_ in scenario_runs:
-            by_epoch = {t: (x1, x2) for t, x1, x2 in traj.breakpoints}
             for ev in traj.events:
-                assert (ev.x1, ev.x2) == by_epoch[ev.epoch]
+                assert ev.x1 >= 0.0
+                assert ev.x2 >= 0.0
+            assert min(traj.x_end) >= 0.0
+
+    def test_y_and_x_end_match_the_exact_reference(self, scenario_runs):
+        for traj, inputs, *_ in scenario_runs:
+            assert_close(traj, exact_window(*inputs), inputs[5])
 
     def test_conservation_against_the_event_log(self, scenario_runs):
         for traj, *_ in scenario_runs:
@@ -86,7 +83,7 @@ class TestTrajectoryProperties:
                 out2 = prev.b2_r if prev.busy2_r else prev.alpha2_r
                 net1 += (prev.a1_r - out1) * dt
                 net2 += (prev.alpha2_r - out2) * dt
-            _, x1a, x2a = traj.breakpoints[0]
+            x1a, x2a = traj.events[0].x1, traj.events[0].x2
             x1b, x2b = traj.x_end
             assert x1b - x1a == pytest.approx(net1, abs=1e-9)
             assert x2b - x2a == pytest.approx(net2, abs=1e-9)
@@ -100,7 +97,7 @@ class TestTrajectoryProperties:
     def test_identical_inputs_identical_runs(self, scenario_runs):
         for traj, inputs, *_ in scenario_runs[::7]:
             again = simulate(*inputs)
-            assert again.breakpoints == traj.breakpoints
+            assert (again.y, again.jac, again.x_end) == (traj.y, traj.jac, traj.x_end)
             assert again.events == traj.events
 
     def test_event_epoch_splits_are_bit_identical(self, scenario_runs):
@@ -114,38 +111,26 @@ class TestTrajectoryProperties:
             head = simulate(arr1, arr2, plan, service, phi, x0, m)
             tail = simulate(arr1, arr2, plan, service, phi,
                             head.x_end, horizon, t0=m)
-            assert head.breakpoints == \
-                [bp for bp in traj.breakpoints if bp[0] <= m]
-            assert tail.breakpoints == \
-                [bp for bp in traj.breakpoints if bp[0] >= m]
+            at_m = next(ev for ev in traj.events if ev.epoch == m)
+            assert head.x_end == (at_m.x1, at_m.x2)
+            assert tail.x_end == traj.x_end
+            assert [ev for ev in head.events[1:-1] if ev.epoch < m] == \
+                [ev for ev in traj.events[1:-1] if ev.epoch < m]
+            assert [ev for ev in tail.events[1:-1] if ev.epoch > m] == \
+                [ev for ev in traj.events[1:-1] if ev.epoch > m]
 
 
 class TestAccumulatorProperties:
-    def test_reset_and_quantization(self, scenario_runs):
-        for traj, _, beta, _ in scenario_runs:
-            d1 = DiagIpaAccumulator(queue=1)
-            d2 = DiagIpaAccumulator(queue=2)
-            cx = CrossIpaAccumulator()
-            for ev in traj.events:
-                cross_on_event(cx, ev, d1, traj.phi)
-                diag_on_event(d1, ev)
-                diag_on_event(d2, ev)
-                # Service rates here are whole numbers, so the postponement
-                # tallies must be exact multiples of beta.
-                for acc in (d1, d2):
-                    assert acc.current_value >= 0.0
-                    assert acc.current_value / beta == \
-                        int(acc.current_value / beta)
-                if not ev.busy1_r:
-                    assert d1.current_value == 0.0
-                if not ev.busy2_r:
-                    assert d2.current_value == 0.0
-                    assert cx.current_value == 0.0
+    def test_jacobian_matches_the_exact_derivative(self, scenario_runs):
+        checked = 0
+        for traj, inputs, *_ in scenario_runs[::5]:
+            checked += assert_jacobian(traj.jac, exact_jacobian(*inputs))
+        assert checked >= 40  # all 44 columns hold
 
     def test_upstream_insensitivity_is_structural(self, scenario_runs):
-        for traj, *_ in scenario_runs[::10]:
-            jac, _, _, _ = run_window(traj)
-            assert jac.j12 == 0.0
+        for traj, inputs, *_ in scenario_runs[::10]:
+            assert traj.jac.j12 == 0.0
+            assert exact_jacobian(*inputs)[1][0] == 0
 
 
 class TestGainProperties:
@@ -159,7 +144,7 @@ class TestGainProperties:
             j21 = float(rng.uniform(-60.0, 60.0))
             if abs(j11) < g.epsilon_j or abs(j22) < g.epsilon_j:
                 continue
-            jac = JacobianEstimate(j11, j21, j22, 20.0)
+            jac = JacobianEstimate(j11, j21, j22)
             a = invert_gain(jac, IDENTITY, CENTRALIZED, g)
             prod = np.array(a) @ np.array([[j11, 0.0], [j21, j22]])
             assert np.abs(prod - np.eye(2)).max() < 1e-12

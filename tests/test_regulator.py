@@ -23,8 +23,7 @@ WIDE_OPEN = GuardConfig(epsilon_j=1e-30, step_cap=(1e9, 1e9),
                         theta_min=(1e-12, 1e-12), theta_max=(1e12, 1e12))
 
 
-def jac(j11, j21, j22, window=1.0):
-    return JacobianEstimate(j11, j21, j22, window)
+jac = JacobianEstimate
 
 
 class TestGuardConfig:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ipa_reference import queue_integral, state_at
+from exact_reference import assert_close, exact_window
+from test_fused_window import bits
 from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
@@ -50,11 +51,13 @@ def sim_pass_through(horizon=1.0):
                     plan, CONST5, 1.0, (0.0, 0.0), horizon)
 
 
-def sim_backed_up(horizon=1.0):
-    # As sim_pass_through but queue 2's green starts later, so it backs up at 0.4.
-    plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
-    return simulate(constant_rate(2.0, horizon), constant_rate(0.0, horizon),
-                    plan, CONST5, 1.0, (0.0, 0.0), horizon)
+# As sim_pass_through but queue 2's green starts later, so it backs up at 0.4.
+BACKED_UP = (constant_rate(2.0, 1.0), constant_rate(0.0, 1.0), PhasePlan(1.0, 1.0, 0.4, 0.6),
+             CONST5, 1.0)
+
+
+def sim_backed_up(horizon=1.0, x0=(0.0, 0.0), t0=0.0):
+    return simulate(*BACKED_UP, x0, horizon, t0=t0)
 
 
 def events_of(traj, kind, queue=None):
@@ -64,10 +67,12 @@ def events_of(traj, kind, queue=None):
 
 class TestRatePieces:
     def test_lookup_is_right_continuous(self):
+        # A window opening on an epoch runs at the rate that starts there.
         r = PiecewiseConstantRate([(0.0, 1.0), (2.0, 3.0)], 5.0)
-        assert r.rate_at(0.0) == 1.0
-        assert r.rate_at(2.0) == 3.0
-        assert r.rate_at(1.999999) == 1.0
+        plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
+        for t0, rate in ((0.0, 1.0), (1.999999, 1.0), (2.0, 3.0)):
+            traj = simulate(r, r, plan, CONST5, 1.0, (0.0, 0.0), 4.0, t0=t0)
+            assert [ev.a1_r for ev in traj.events if ev.epoch == t0][-1] == rate
 
     def test_rejects_bad_segments(self):
         with pytest.raises(ValueError):
@@ -95,22 +100,25 @@ class TestRatePieces:
         ref = PiecewiseConstantRate([(0.0, 1.0), (1.0, 2.0)], 3.0)
         for segs in (zip([0.0, 1.0], [1.0, 2.0]), ((e, e + 1.0) for e in (0.0, 1.0))):
             r = PiecewiseConstantRate(segs, 3.0)
-            assert r.segments == ref.segments
-            assert r.rate_at(0.5) == 1.0 and r.rate_at(2.0) == 2.0
+            assert (r.epochs, r.rates) == (ref.epochs, ref.rates) == ([0.0, 1.0], [1.0, 2.0])
 
     def test_stores_lists_of_python_floats(self):
         for segs in ([(0, 1), (1.5, 2)], np.array([[0.0, 1.0], [1.5, 2.0]])):
             r = PiecewiseConstantRate(segs, 3.0)
             assert type(r.epochs) is list and type(r.rates) is list
             assert all(type(v) is float for v in r.epochs + r.rates)
-            assert r.segments == [(0.0, 1.0), (1.5, 2.0)]
+            assert list(zip(r.epochs, r.rates)) == [(0.0, 1.0), (1.5, 2.0)]
 
     def test_lookup_outside_domain(self):
+        # A rate process holds on [0, horizon): simulate reads it up to
+        # there and no further.
         r = constant_rate(1.0, 2.0)
-        with pytest.raises(ValueError):
-            r.rate_at(2.0)
-        with pytest.raises(ValueError):
-            r.rate_at(-0.1)
+        plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
+        simulate(r, r, plan, CONST5, 1.0, (0.0, 0.0), 2.0)
+        with pytest.raises(ValueError, match="before the simulation horizon"):
+            simulate(r, r, plan, CONST5, 1.0, (0.0, 0.0), math.nextafter(2.0, 3.0))
+        with pytest.raises(ValueError, match="0 <= t0"):
+            simulate(r, r, plan, CONST5, 1.0, (0.0, 0.0), 1.0, t0=-0.1)
 
 
 class TestPlanAndProfiles:
@@ -173,18 +181,19 @@ class TestLocalRates:
 class TestSingleCycleTraces:
     def test_upstream_peak_and_drain(self):
         traj = sim_pass_through()
-        assert (0.4, 0.8, 0.0) in traj.breakpoints
+        (green1,) = events_of(traj, GREEN_START, queue=1)
+        assert (green1.epoch, green1.x1, green1.x2) == (0.4, 0.8, 0.0)
         (empty,) = events_of(traj, EMPTY_START, queue=1)
         assert empty.epoch == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert empty.x1 == 0.0
 
     def test_downstream_never_backs_up(self):
         traj = sim_pass_through()
-        assert all(x2 == 0.0 for _, _, x2 in traj.breakpoints)
+        assert all(ev.x2 == 0.0 for ev in traj.events)
         assert not events_of(traj, BUSY_START, queue=2)
 
     def test_averages_single_cycle(self):
-        g1, g2 = queue_integral(sim_pass_through(), 0.0, 1.0)
+        g1, g2 = sim_pass_through().y
         assert g1 == pytest.approx(4.0 / 15.0, abs=1e-12)
         assert g2 == 0.0
 
@@ -193,10 +202,10 @@ class TestSingleCycleTraces:
         (bs2,) = events_of(traj, BUSY_START, queue=2)
         assert bs2.epoch == 0.4
         assert (bs2.trigger_kind, bs2.trigger_queue) == (GREEN_START, 1)
-        assert state_at(traj, 0.6)[1] == pytest.approx(1.0, abs=1e-12)
+        assert sim_backed_up(0.6).x_end[1] == pytest.approx(1.0, abs=1e-12)
         # Flat while both queues run at rate 5, then drains at slope 3.
-        assert state_at(traj, 2.0 / 3.0)[1] == pytest.approx(1.0, abs=1e-12)
-        assert state_at(traj, 0.9)[1] == pytest.approx(0.3, abs=1e-12)
+        assert sim_backed_up(2.0 / 3.0).x_end[1] == pytest.approx(1.0, abs=1e-12)
+        assert sim_backed_up(0.9).x_end[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_queue_2_empties_at_horizon(self):
         traj = sim_backed_up()
@@ -205,7 +214,7 @@ class TestSingleCycleTraces:
         assert traj.x_end[1] == 0.0
 
     def test_averages_with_backup(self):
-        g1, g2 = queue_integral(sim_backed_up(), 0.0, 1.0)
+        g1, g2 = sim_backed_up().y
         assert g1 == pytest.approx(4.0 / 15.0, abs=1e-12)
         assert g2 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -217,7 +226,7 @@ class TestDegenerateInputs:
                         plan, CONST5, 1.0, (0.0, 0.0), 2.0)
         kinds = {ev.kind for ev in traj.events}
         assert kinds == {RED_START, GREEN_START, CONTROL_CYCLE_BOUNDARY}
-        assert all(x1 == 0.0 and x2 == 0.0 for _, x1, x2 in traj.breakpoints)
+        assert all(ev.x1 == 0.0 and ev.x2 == 0.0 for ev in traj.events)
 
     def test_drain_only_from_initial_content(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
@@ -267,18 +276,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"queue {queue} .*finite.*got {bad!r}"):
             simulate(a, a, plan, CONST5, 1.0, x0, 2.0, log=False)
 
-    def test_queue_integral_rejects_bad_window(self):
-        traj = sim_pass_through()
-        with pytest.raises(ValueError):
-            queue_integral(traj, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            queue_integral(traj, 0.0, 1.5)
-
 
 class TestRedWithinRoundingOfCycle:
     # theta1 one ulp below c1: from k = 1 on, the onset k + theta1 rounds
     # onto the next red start k + 1, so those cycles' greens are empty and
-    # queue 1's light stays red.
+    # queue 1's light stays red, with no switch after the red start at 1.0.
     PLAN = PhasePlan(1.0, 1.0, math.nextafter(1.0, 0.0), 0.5)
 
     def sim(self, x0, horizon, t0=0.0):
@@ -287,8 +289,21 @@ class TestRedWithinRoundingOfCycle:
 
     def test_empty_greens_are_dropped(self):
         switches1 = [(e, k) for e, k, q in build_switch_epochs(self.PLAN, 8.0) if q == 1]
-        assert switches1 == [(0.0, RED_START), (self.PLAN.theta1, GREEN_START)] + \
-            [(float(k), RED_START) for k in range(1, 8)]
+        assert switches1 == [(0.0, RED_START), (self.PLAN.theta1, GREEN_START), (1.0, RED_START)]
+
+    @pytest.mark.parametrize("t0", [0.0, 1.5, 4.0])
+    def test_no_switch_re_applies_the_phase_in_force(self, t0):
+        # A dropped green's red merges into the one before it, so no red
+        # start splits the IPA integrals or the oracle's signature.
+        traj = self.sim((2.0, 0.5), 8.0, t0)
+        green = [traj.events[0].green1_r, traj.events[0].green2_r]
+        for ev in traj.events[1:-1]:
+            if ev.kind in (RED_START, GREEN_START):
+                # (A window from 0 opens red and applies the red start at 0.)
+                assert ev.epoch == 0.0 or (ev.kind == GREEN_START) != green[ev.queue - 1], ev
+                green[ev.queue - 1] = ev.kind == GREEN_START
+        assert_close(traj, exact_window(constant_rate(1.0, 8.0), constant_rate(0.0, 8.0),
+                                        self.PLAN, CONST5, 0.9, (2.0, 0.5), 8.0, t0), (2.0, 0.5))
 
     def test_queue_1_fills_instead_of_draining(self):
         traj = self.sim((2.0, 0.0), 8.0)
@@ -308,7 +323,7 @@ class TestExactness:
     def test_determinism(self):
         a = sim_backed_up()
         b = sim_backed_up()
-        assert a.breakpoints == b.breakpoints
+        assert (a.y, a.jac, a.x_end) == (b.y, b.jac, b.x_end)
         assert a.events == b.events
 
     def test_split_at_event_epoch_is_bit_identical(self):
@@ -316,9 +331,9 @@ class TestExactness:
         arr1 = PiecewiseConstantRate([(0.0, 2.0), (1.3, 4.4), (2.2, 0.5)], 3.0)
         arr2 = PiecewiseConstantRate([(0.0, 0.3), (0.7, 1.1)], 3.0)
         full = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), 3.0)
-        # Resume from each interior event epoch: the tail must reproduce the
-        # full run's breakpoints bit for bit, because the full run also
-        # re-anchors state at every event.
+        # Resume from each interior event epoch: the head must end in, and
+        # the tail must reproduce, the full run's logged states bit for bit,
+        # because the full run also re-anchors state at every event.
         interior = sorted({ev.epoch for ev in full.events
                            if 0.0 < ev.epoch < 3.0})
         assert interior
@@ -326,10 +341,11 @@ class TestExactness:
             head = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), m)
             tail = simulate(arr1, arr2, plan, CONST5, 0.9,
                             head.x_end, 3.0, t0=m)
-            assert head.breakpoints == [bp for bp in full.breakpoints
-                                        if bp[0] <= m]
-            assert tail.breakpoints == [bp for bp in full.breakpoints
-                                        if bp[0] >= m]
+            at_m = next(ev for ev in full.events if ev.epoch == m)
+            assert bits(*head.x_end) == bits(at_m.x1, at_m.x2)
+            assert bits(*tail.x_end) == bits(*full.x_end)
+            assert [bits(ev.epoch, ev.x1, ev.x2) for ev in tail.events if ev.epoch > m] == \
+                [bits(ev.epoch, ev.x1, ev.x2) for ev in full.events if ev.epoch > m]
 
     def test_split_anywhere_matches_closely(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
@@ -338,26 +354,27 @@ class TestExactness:
         full = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), 3.0)
         for m in (0.17, 0.93, 1.618, 2.41):
             head = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), m)
-            tail = simulate(arr1, arr2, plan, CONST5, 0.9,
-                            head.x_end, 3.0, t0=m)
-            for t in (m, 2.0, 2.9):
+            for t in (2.0, 2.9):
                 if t < m:
                     continue
-                a = state_at(full, t)
-                b = state_at(tail, t)
+                a = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), t).x_end
+                b = simulate(arr1, arr2, plan, CONST5, 0.9, head.x_end, t, t0=m).x_end
                 assert a[0] == pytest.approx(b[0], abs=1e-12)
                 assert a[1] == pytest.approx(b[1], abs=1e-12)
 
     def test_state_at_breakpoints_is_exact(self):
-        traj = sim_backed_up()
-        for t, x1, x2 in traj.breakpoints:
-            assert state_at(traj, t) == (x1, x2)
+        # The state at each logged epoch is where a run with that horizon
+        # ends, bit for bit, and lies within rounding of the exact state.
+        for ev in sim_backed_up().events:
+            if ev.epoch > 0.0:
+                head = sim_backed_up(ev.epoch)
+                assert bits(*head.x_end) == bits(ev.x1, ev.x2)
+                assert_close(head, exact_window(*BACKED_UP, (0.0, 0.0), ev.epoch), (0.0, 0.0))
 
     def test_integral_additivity(self):
-        traj = sim_backed_up()
-        whole = queue_integral(traj, 0.0, 1.0)
-        left = queue_integral(traj, 0.0, 0.37)
-        right = queue_integral(traj, 0.37, 1.0)
+        whole = sim_backed_up().y
+        head = sim_backed_up(0.37)
+        left, right = head.y, sim_backed_up(1.0, head.x_end, 0.37).y
         for i in range(2):
             stitched = left[i] * 0.37 + right[i] * 0.63
             assert stitched == pytest.approx(whole[i] * 1.0, abs=1e-12)
@@ -372,7 +389,7 @@ class TestExactness:
             out2 = prev.b2_r if prev.busy2_r else prev.alpha2_r
             net1 += (prev.a1_r - out1) * dt
             net2 += (prev.alpha2_r - out2) * dt
-        x1a, x2a = traj.breakpoints[0][1], traj.breakpoints[0][2]
+        x1a, x2a = evs[0].x1, evs[0].x2
         x1b, x2b = traj.x_end
         assert x1b - x1a == pytest.approx(net1, abs=1e-9)
         assert x2b - x2a == pytest.approx(net2, abs=1e-9)
@@ -384,7 +401,6 @@ class TestMidstreamWindows:
         arr = constant_rate(2.0, 4.0)
         side = constant_rate(0.0, 4.0)
         traj = simulate(arr, side, plan, CONST5, 1.0, (0.5, 0.2), 4.0, t0=1.7)
-        assert traj.t0 == 1.7
         assert traj.events[0].kind == CONTROL_CYCLE_BOUNDARY
         assert traj.events[0].epoch == 1.7
         assert traj.events[-1].kind == CONTROL_CYCLE_BOUNDARY
@@ -398,9 +414,11 @@ class TestMidstreamWindows:
         prof = ServiceProfile("ramp", 5.0, 5.0, ramp1=stair,
                               ramp2=constant_rate(5.0, 1.0))
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
-        traj = simulate(constant_rate(3.0, 1.0), constant_rate(0.0, 1.0),
-                        plan, prof, 1.0, (0.0, 0.0), 1.0)
+        def x1_at(t):
+            return simulate(constant_rate(3.0, 1.0), constant_rate(0.0, 1.0),
+                            plan, prof, 1.0, (0.0, 0.0), t).x_end[0]
+
         # Slope sequence for x1: +3 (red), +2 (ramp at 1), -2 (ramp at 5).
-        assert state_at(traj, 0.4)[0] == pytest.approx(1.2, abs=1e-12)
-        assert state_at(traj, 0.6)[0] == pytest.approx(1.6, abs=1e-12)
-        assert state_at(traj, 1.0)[0] == pytest.approx(0.8, abs=1e-12)
+        assert x1_at(0.4) == pytest.approx(1.2, abs=1e-12)
+        assert x1_at(0.6) == pytest.approx(1.6, abs=1e-12)
+        assert x1_at(1.0) == pytest.approx(0.8, abs=1e-12)
