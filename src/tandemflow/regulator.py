@@ -34,8 +34,8 @@ class GuardConfig:
     epsilon_j: a measured diagonal Jacobian entry smaller than this in
     magnitude is treated as singular and the affected gain row is carried
     over from the previous cycle.  step_cap / theta_min / theta_max are
-    absolute per-queue values; build them from cycle lengths with
-    from_fractions.
+    absolute per-queue values; `ExperimentConfig.guards` builds them from
+    fractions of each cycle length.
     """
 
     epsilon_j: float = 1e-3
@@ -53,24 +53,6 @@ class GuardConfig:
                 raise ValueError(
                     f"theta bounds for queue {i + 1} must satisfy 0 < min < max, "
                     f"got [{self.theta_min[i]!r}, {self.theta_max[i]!r}]")
-
-    @classmethod
-    def from_fractions(
-        cls,
-        c1: float,
-        c2: float,
-        epsilon_j: float = 1e-3,
-        step_frac: float = 0.25,
-        min_frac: float = 0.02,
-        max_frac: float = 0.98,
-    ) -> "GuardConfig":
-        """Scale fractional limits by each queue's cycle length."""
-        return cls(
-            epsilon_j=epsilon_j,
-            step_cap=(step_frac * c1, step_frac * c2),
-            theta_min=(min_frac * c1, min_frac * c2),
-            theta_max=(max_frac * c1, max_frac * c2),
-        )
 
 
 @dataclass(slots=True)

@@ -176,10 +176,16 @@ class ExperimentConfig:
                               f"{self.theta_max_frac!r}), got {self.theta_min_frac!r}")
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi={self.phi!r} outside [0, 1]")
-        for nm in ("c1", "c2", "beta_max1", "beta_max2", "eps_j", "step_cap"):
+        for nm in ("c1", "c2", "beta_max1", "beta_max2", "eps_j", "step_cap",
+                   "alpha1_mean", "alpha1_off_max", "alpha1_on_max",
+                   "alpha2_mean", "alpha2_off_max", "alpha2_on_max"):
             v = getattr(self, nm)
             if not v > 0.0:
                 raise ConfigError(f"{nm} must be > 0, got {v!r}")
+        for nm in ("alpha1_zeta", "alpha2_zeta"):
+            v = getattr(self, nm)
+            if not 0.0 <= v < 1.0:
+                raise ConfigError(f"{nm} must lie in [0, 1), got {v!r}")
         # The guards scale these fractions by each cycle length; a product
         # that underflows must fail here, by the key's name.
         for c, cn in ((self.c1, "c1"), (self.c2, "c2")):
@@ -197,10 +203,6 @@ class ExperimentConfig:
                           (self.theta2_init, self.c2, "theta2_init")):
             if not 0.0 < th < c:
                 raise ConfigError(f"{nm}={th!r} outside (0, {c!r})")
-        # Spec objects validate their own numeric ranges eagerly.
-        self.alpha1_spec()
-        self.alpha2_spec()
-        self.guards()
 
     def alpha1_spec(self) -> OnOffSpec:
         return OnOffSpec(self.alpha1_mean, self.alpha1_zeta,
@@ -211,9 +213,11 @@ class ExperimentConfig:
                          self.alpha2_off_max, self.alpha2_on_max)
 
     def guards(self) -> GuardConfig:
-        return GuardConfig.from_fractions(
-            self.c1, self.c2, epsilon_j=self.eps_j, step_frac=self.step_cap,
-            min_frac=self.theta_min_frac, max_frac=self.theta_max_frac)
+        """The controller guards, each fraction scaled by its queue's cycle."""
+        c1, c2 = self.c1, self.c2
+        return GuardConfig(self.eps_j, (self.step_cap * c1, self.step_cap * c2),
+                           (self.theta_min_frac * c1, self.theta_min_frac * c2),
+                           (self.theta_max_frac * c1, self.theta_max_frac * c2))
 
     def service_profile(self) -> ServiceProfile:
         return ServiceProfile("constant", self.beta_max1, self.beta_max2)

@@ -11,10 +11,10 @@ While it applies each event batch, the simulator also computes the window
 outputs online: the time-averaged contents y by exact trapezoid sums, and the
 sample-path Jacobian J by diagonal and cross sensitivity rules applied at
 each event.  This is the package's only sensitivity pass.  On request it also
-returns the annotated event log, with one-sided limits of every rate at every
-discontinuity, which the finite-difference audit reads for its event
-signatures.  The tests check y, the end state and J against an independent
-simulator in exact rational arithmetic (`tests/exact_reference.py`).
+returns the event log, each event annotated with the state just after it,
+which the finite-difference audit reads for its event signatures.  The
+tests check y, the end state and J against an independent simulator in
+exact rational arithmetic (`tests/exact_reference.py`).
 """
 
 from __future__ import annotations
@@ -139,14 +139,14 @@ class ServiceProfile:
 
 
 class Event(NamedTuple):
-    """One discontinuity of the coupled system, with one-sided rate limits.
+    """One discontinuity of the coupled system, with the state just after it.
 
-    Annotation fields ending in _l / _r are the limits just before and just
+    The annotations, x1, x2 and the fields ending in _r, hold the state just
     after this event.  When several events share an epoch they are applied
     in a fixed priority order (light switches, exogenous jumps, internal
-    jumps, emptyings, fillings; queue 1 before queue 2) and each event's
-    limits bracket its own change only, so per-event jumps never double
-    count a coincident change.  `alpha2` is the merged inflow to queue 2.
+    jumps, emptyings, fillings; queue 1 before queue 2), so an event's
+    annotations include the changes before it in its batch, not those after
+    it.  `alpha2` is the merged inflow to queue 2.
 
     Only queue 2's BusyStart events record a trigger, the event that switched
     its net inflow positive, in trigger_kind / trigger_queue.  All other events
@@ -167,17 +167,14 @@ class Event(NamedTuple):
     green1_r: bool
     green2_r: bool
     a1_r: float
-    b1_l: float
     b1_r: float
-    b2_l: float
     b2_r: float
-    alpha2_l: float
     alpha2_r: float
-    trigger_kind: int = -1
-    trigger_queue: int = 0
+    trigger_kind: int
+    trigger_queue: int
 
 
-# The C-level tuple constructor: `simulate` passes all 18 fields in one
+# The C-level tuple constructor: `simulate` passes all 15 fields in one
 # tuple, which skips the generated keyword-aware __new__.
 _new_event = partial(tuple.__new__, Event)
 
@@ -239,7 +236,8 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
     cancelled by it.  A green onset that rounds onto or past the next red
     start, which only a theta within rounding of c can cause, is dropped:
     that cycle's green is empty, and the next red start is dropped with it,
-    so the light stays red through both cycles with no switch between.
+    so the light stays red through both cycles with no switch between.  The
+    light is red before 0.0, so the red start at 0.0 is dropped too.
 
     One rule splits the entries at t0: a switch before t0 or a step at or
     before t0 (the staircase is right-continuous) is in force, and the last
@@ -257,7 +255,7 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
         state = (False, 0.0)  # (green, rate) of the latest entry in force
         k = max(int(t0 // c) - 1, 0)
         nxt = k * c
-        stays_red = False  # the last green was dropped, so its red runs on
+        stays_red = True  # red runs on: the last green was dropped, or none was before 0.0
         while nxt < horizon:
             base, k = nxt, k + 1
             nxt = k * c
@@ -332,9 +330,8 @@ def simulate(
     log=False the event log is not built (the list stays empty), which is
     all a closed-loop plant needs; y, jac and the end state are the same
     bits either way.  With log=True the log is a list of immutable `Event`
-    named tuples, each built inline at its site from one tuple of all 18
-    fields, its alpha2 limits computed there with the operands and order of
-    the online rules.
+    named tuples, each built inline at its site from one tuple of all 15
+    fields.
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -388,10 +385,9 @@ def simulate(
     append_event = events.append
     new_event = _new_event
     if log:
-        # Opening marker: the state entering the window, both limits equal.
-        al2 = phi * (b1 if busy1 else a1) + a2t
+        # Opening marker: the state entering the window.
         append_event(new_event((t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                                green2, a1, b1, b1, b2, b2, al2, al2, -1, 0)))
+                                green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
 
     # Online window outputs.  Trapezoid sums q1, q2 of the contents, with
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
@@ -458,9 +454,7 @@ def simulate(
                     trig2k, trig2q = kind, queue
                 if log:
                     append_event(new_event((t, kind, queue, x1, x2, busy1, busy2, green1, green2,
-                                            a1, lb1, b1, lb2, b2,
-                                            phi * (lb1 if busy1 else a1) + a2t,
-                                            phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                                            a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
 
             # Exogenous rate jumps (logged only when the value changes).
             if ha1 == t:  # epochs increase strictly: one jump at most
@@ -469,13 +463,12 @@ def simulate(
                 ha1 = e1[i1]
                 if new != a1:
                     hit = True
-                    la1, a1 = a1, new
+                    a1 = new
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 1
                     if log:
                         append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1,
-                                                green2, a1, b1, b1, b2, b2,
-                                                phi * (b1 if busy1 else la1) + a2t,
+                                                green2, a1, b1, b2,
                                                 phi * (b1 if busy1 else a1) + a2t, -1, 0)))
             if ha2 == t:
                 new = r2[i2]
@@ -483,14 +476,13 @@ def simulate(
                 ha2 = e2[i2]
                 if new != a2t:
                     hit = True
-                    la2t, a2t = a2t, new
+                    a2t = new
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 2
                     if log:
-                        pd1 = phi * (b1 if busy1 else a1)
                         append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1,
-                                                green2, a1, b1, b1, b2, b2, pd1 + la2t, pd1 + a2t,
-                                                -1, 0)))
+                                                green2, a1, b1, b2,
+                                                phi * (b1 if busy1 else a1) + a2t, -1, 0)))
 
             # Service staircase steps, the rest of the light plan at t; only
             # visible while the queue is busy.
@@ -510,18 +502,17 @@ def simulate(
                                 trig2k, trig2q = INTERNAL_RATE_JUMP, 1
                             if log:
                                 append_event(new_event((t, INTERNAL_RATE_JUMP, 1, x1, x2, True, busy2,
-                                                        green1, green2, a1, lb1, b1, b2, b2,
-                                                        phi * lb1 + a2t, phi * b1 + a2t, -1, 0)))
+                                                        green1, green2, a1, b1, b2, phi * b1 + a2t,
+                                                        -1, 0)))
                 elif new != b2:
-                    lb2, b2 = b2, new
+                    b2 = new
                     if busy2:
                         hit = True
                         v22 = (cs2 + b2) - bs2
                         if log:
-                            al2 = phi * (b1 if busy1 else a1) + a2t
                             append_event(new_event((t, INTERNAL_RATE_JUMP, 2, x1, x2, busy1, True,
-                                                    green1, green2, a1, b1, b1, lb2, b2, al2, al2,
-                                                    -1, 0)))
+                                                    green1, green2, a1, b1, b2,
+                                                    phi * (b1 if busy1 else a1) + a2t, -1, 0)))
 
         # Emptyings determined by drainage up to t (also logged at the horizon).
         if empt1:
@@ -531,15 +522,13 @@ def simulate(
             v11 = 0.0
             if log:
                 append_event(new_event((t, EMPTY_START, 1, x1, x2, False, busy2, green1, green2,
-                                        a1, b1, b1, b2, b2, phi * b1 + a2t, phi * a1 + a2t,
-                                        -1, 0)))
+                                        a1, b1, b2, phi * a1 + a2t, -1, 0)))
         if empt2:
             busy2 = False
             v22 = v21 = 0.0
             if log:
-                al2 = phi * (b1 if busy1 else a1) + a2t
                 append_event(new_event((t, EMPTY_START, 2, x1, x2, busy1, False, green1, green2,
-                                        a1, b1, b1, b2, b2, al2, al2, -1, 0)))
+                                        a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
 
         # Fillings, evaluated on the post-batch rates; queue 1 may cascade
         # into queue 2 through its outflow jump.
@@ -551,8 +540,7 @@ def simulate(
                     trig2k, trig2q = BUSY_START, 1
                 if log:
                     append_event(new_event((t, BUSY_START, 1, x1, x2, True, busy2, green1, green2,
-                                            a1, b1, b1, b2, b2, phi * a1 + a2t, phi * b1 + a2t,
-                                            -1, 0)))
+                                            a1, b1, b2, phi * b1 + a2t, -1, 0)))
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
@@ -562,9 +550,9 @@ def simulate(
                 else:
                     v21 = 0.0
                 if log:
-                    al2 = phi * (b1 if busy1 else a1) + a2t
                     append_event(new_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
-                                            a1, b1, b1, b2, b2, al2, al2, trig2k, trig2q)))
+                                            a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,
+                                            trig2k, trig2q)))
 
         q1 += 0.5 * (xl1 + x1) * dt
         q2 += 0.5 * (xl2 + x2) * dt
@@ -646,9 +634,8 @@ def simulate(
         at_end = cand == horizon
 
     if log:
-        al2 = phi * (b1 if busy1 else a1) + a2t
         append_event(new_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                                green2, a1, b1, b1, b2, b2, al2, al2, -1, 0)))
+                                green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
     w = horizon - t0
     return TandemTrajectory(events, (x1, x2), (q1 / w, q2 / w),
                             JacobianEstimate(r11 / w, r21 / w, r22 / w))

@@ -4,7 +4,8 @@ The package computes y and J in one pass, inside `simcore.simulate`.  The
 tests check it against tests/exact_reference.py, an exact-rational
 simulator that must stay independent of the package.  These checks keep a
 second sensitivity pass, and the surface that only a second pass read, from
-returning to the package.
+returning to the package.  They also pin the event log's fields and the
+module globals that the benchmark harness replaces to time its cycles.
 """
 
 import ast
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 import tandemflow
-from tandemflow import simcore
+from tandemflow import oracle, scenario, simcore
 
 PACKAGE_DIR = Path(tandemflow.__file__).parent
 TESTS_DIR = Path(__file__).parent
@@ -45,6 +46,43 @@ def test_pruned_surface_stays_out():
     assert [f.name for f in dataclasses.fields(simcore.JacobianEstimate)] == ["j11", "j21", "j22"]
     assert [f.name for f in dataclasses.fields(simcore.TandemTrajectory)] == \
         ["events", "x_end", "y", "jac"]
+
+
+def test_event_log_records_only_what_its_readers_read():
+    # Each event carries the state just after it; no reader needs a left limit.
+    assert simcore.Event._fields == (
+        "epoch", "kind", "queue", "x1", "x2", "busy1_r", "busy2_r", "green1_r", "green2_r",
+        "a1_r", "b1_r", "b2_r", "alpha2_r", "trigger_kind", "trigger_queue")
+    assert simcore.Event._field_defaults == {}
+
+
+def test_benchmark_hooks_see_every_call(monkeypatch):
+    # benchmarks/bench.py times control cycles by replacing the module
+    # globals scenario.run_closed_loop, whose first argument is the plant,
+    # and oracle.grad_check.  A caller that bound either name elsewhere
+    # would bypass the timing.
+    loops, plant_ks, checks = [], [], []
+    run_closed_loop, grad_check = scenario.run_closed_loop, oracle.grad_check
+
+    def counting_loop(plant, *args, **kwargs):
+        def counting_plant(theta, k):
+            plant_ks.append(k)
+            return plant(theta, k)
+        loops.append(args)
+        return run_closed_loop(counting_plant, *args, **kwargs)
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return grad_check(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_closed_loop", counting_loop)
+    monkeypatch.setattr(oracle, "grad_check", counting_check)
+    cfg = dataclasses.replace(scenario.default_paper_config(), num_control_cycles=2)
+    assert len(scenario.run_replication(cfg, 0)) == 2
+    assert len(loops) == 1 and plant_ks == [1, 2]
+    reports = oracle.run_battery(oracle.deterministic_scenarios()[:1], oracle.DEFAULT_DET_H,
+                                 oracle.DEFAULT_DET_TOL)
+    assert len(reports) == len(checks) == 1
 
 
 def imported_roots(path):

@@ -16,7 +16,7 @@ from tandemflow.regulator import (
     make_traffic_plant,
     run_closed_loop,
 )
-from tandemflow.scenario import default_paper_config
+from tandemflow.scenario import ExperimentConfig, default_paper_config
 from tandemflow.simcore import JacobianEstimate
 
 WIDE_OPEN = GuardConfig(epsilon_j=1e-30, step_cap=(1e9, 1e9),
@@ -28,7 +28,7 @@ jac = JacobianEstimate
 
 class TestGuardConfig:
     def test_from_fractions_scales_by_cycle(self):
-        g = GuardConfig.from_fractions(1.0, 2.0)
+        g = ExperimentConfig(c2=2.0).guards()
         assert g.step_cap == (0.25, 0.5)
         assert g.theta_min == (0.02, 0.04)
         assert g.theta_max == (0.98, 1.96)

@@ -237,6 +237,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must"):
             parse_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        (f"alpha{i}_{name}", value) for i in (1, 2) for name, value in
+        (("mean", 0.0), ("zeta", 1.5), ("zeta", -0.1), ("off_max", 0.0), ("on_max", -1.0))])
+    def test_arrival_keys_are_named(self, key, value):
+        # The config's own key, not OnOffSpec's field, in the message.
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(f"{key} = {value}\n")
+
     @pytest.mark.parametrize("key", ["theta_min_frac", "step_cap"])
     @pytest.mark.parametrize("cycle", ["c1", "c2"])
     def test_guard_fractions_that_underflow_are_named(self, key, cycle):

@@ -150,9 +150,8 @@ class TestPlanAndProfiles:
 
     def test_switch_epochs_single_cycle(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
-        assert build_switch_epochs(plan, 1.0) == [
-            (0.0, RED_START, 1), (0.0, RED_START, 2),
-            (0.4, GREEN_START, 1), (0.6, GREEN_START, 2)]
+        # The light is red before 0.0, so no red start applies at 0.0.
+        assert build_switch_epochs(plan, 1.0) == [(0.4, GREEN_START, 1), (0.6, GREEN_START, 2)]
 
     def test_switch_epochs_periodic(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
@@ -289,7 +288,7 @@ class TestRedWithinRoundingOfCycle:
 
     def test_empty_greens_are_dropped(self):
         switches1 = [(e, k) for e, k, q in build_switch_epochs(self.PLAN, 8.0) if q == 1]
-        assert switches1 == [(0.0, RED_START), (self.PLAN.theta1, GREEN_START), (1.0, RED_START)]
+        assert switches1 == [(self.PLAN.theta1, GREEN_START), (1.0, RED_START)]
 
     @pytest.mark.parametrize("t0", [0.0, 1.5, 4.0])
     def test_no_switch_re_applies_the_phase_in_force(self, t0):
@@ -299,8 +298,7 @@ class TestRedWithinRoundingOfCycle:
         green = [traj.events[0].green1_r, traj.events[0].green2_r]
         for ev in traj.events[1:-1]:
             if ev.kind in (RED_START, GREEN_START):
-                # (A window from 0 opens red and applies the red start at 0.)
-                assert ev.epoch == 0.0 or (ev.kind == GREEN_START) != green[ev.queue - 1], ev
+                assert (ev.kind == GREEN_START) != green[ev.queue - 1], ev
                 green[ev.queue - 1] = ev.kind == GREEN_START
         assert_close(traj, exact_window(constant_rate(1.0, 8.0), constant_rate(0.0, 8.0),
                                         self.PLAN, CONST5, 0.9, (2.0, 0.5), 8.0, t0), (2.0, 0.5))
