@@ -55,6 +55,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _zeta_tag(z: float) -> str:
+    """A zeta as run file names and the zetas metadata line show it."""
+    return f"{z:g}"
+
+
 def _metadata(cfg: ExperimentConfig, extra: list[tuple[str, object]]) -> list[str]:
     lines = [f"# tandemflow {__version__}"]
     for key, val in extra:
@@ -101,12 +106,12 @@ def cmd_table1(cfg: ExperimentConfig, out: str | None, zetas: list[float]) -> in
         return 2
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = _metadata(cfg, [("zetas", ",".join(f"{z:g}" for z in zetas))])
+    summary = _metadata(cfg, [("zetas", ",".join(_zeta_tag(z) for z in zetas))])
     summary.append(SUMMARY_COLUMNS)
     for cell, runs in run_sweep(cfg, zetas):
         zeta, mode = cell.alpha1_zeta, cell.mode
         for rep, records in enumerate(runs):
-            name = f"run_z{zeta:g}_{mode}_rep{rep:02d}.csv"
+            name = f"run_z{_zeta_tag(zeta)}_{mode}_rep{rep:02d}.csv"
             _write(outdir / name, _series_lines(cell, rep, records))
         summary.append(",".join([_fmt(zeta), mode] +
                                 [_fmt(s) for s in summarize(cell, runs)]))
@@ -138,9 +143,16 @@ def _parse_zetas(text: str) -> list[float]:
         raise ConfigError(f"bad --zeta-list: {exc}") from None
     if not vals:
         raise ConfigError("--zeta-list is empty")
+    seen: dict[str, float] = {}
     for z in vals:
         if not 0.0 <= z < 1.0:
             raise ConfigError(f"--zeta-list value {z!r} outside [0, 1)")
+        # Two values with one tag would write the same run files.
+        tag = _zeta_tag(z)
+        if tag in seen:
+            raise ConfigError(f"--zeta-list values {seen[tag]!r} and {z!r} "
+                              f"share the run file tag z{tag}")
+        seen[tag] = z
     return vals
 
 
@@ -168,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the replication count")
         if name == "table1":
             p.add_argument("--zeta-list",
-                           default=",".join(f"{z:g}" for z in DEFAULT_ZETAS),
+                           default=",".join(_zeta_tag(z) for z in DEFAULT_ZETAS),
                            help="comma-separated zeta values "
                                 "(default %(default)s)")
     return parser

@@ -62,7 +62,6 @@ class ControllerState:
     theta: tuple[float, float]
     e: tuple[float, float] = (0.0, 0.0)
     gain: Matrix = IDENTITY
-    k: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +116,7 @@ def invert_gain(
 
 def control_step(state: ControllerState, gain: Matrix, guards: GuardConfig) -> ControllerState:
     """Apply theta += gain @ e with the per-component step cap, then box
-    clamp; records the gain and bumps the cycle counter."""
+    clamp; records the gain."""
     e1, e2 = state.e
     d1 = gain[0][0] * e1 + gain[0][1] * e2
     d2 = gain[1][0] * e1 + gain[1][1] * e2
@@ -138,7 +137,6 @@ def control_step(state: ControllerState, gain: Matrix, guards: GuardConfig) -> C
     th2 = lo2 if th2 < lo2 else (hi2 if th2 > hi2 else th2)
     state.theta = (th1, th2)
     state.gain = gain
-    state.k += 1
     return state
 
 
@@ -165,7 +163,7 @@ def run_closed_loop(
         raise ValueError(f"num_cycles must be >= 0, got {num_cycles!r}")
     if guards is None:
         guards = GuardConfig()
-    state = ControllerState(theta=theta_init, gain=initial_gain, k=1)
+    state = ControllerState(theta=theta_init, gain=initial_gain)
     records: list[CycleRecord] = []
     for k in range(1, num_cycles + 1):
         y, jac = plant(state.theta, k)

@@ -348,13 +348,18 @@ def simulate(
     rate already in force, which logs nothing: it still splits the drain
     x += s*dt and the trapezoid sums in two, so dropping it while a queue is
     busy changes the last bits of y, J and the end state.  Without the log,
-    a lone arrival jump that falls while both queues are empty, strictly
-    before the next light-plan entry, and that fills neither queue by the
-    batch's own fill tests is applied in place with no batch (the
-    empty-period skip).  It is exact: with both queues empty x1 = x2 = 0 and
-    v11 = v22 = v21 = 0, so each term the batch would add is a zero, and no
-    trigger is recorded without a filling.  The logged path keeps every
-    batch, which is the reference the tests hold the skip to.
+    a lone arrival jump (strictly before the next light-plan entry, not tied
+    with the other stream, and filling no idle queue by the batch's own fill
+    tests) is applied in place with no batch, in one of two ways.  The
+    empty-period skip takes those that fall while both queues are empty:
+    there x1 = x2 = 0 and v11 = v22 = v21 = 0, so each term the batch would
+    add is a zero.  The busy run takes the rest: the advance is a loop that
+    applies such a jump as its batch would (the trapezoid sums, and on a
+    rate change the IPA integrals up to t and the affected slope; a jump
+    moves no IPA value) and advances again.  It hands the epoch to the batch
+    at an emptying, a light-plan entry or the horizon, a tie, or a jump that
+    fills.  No trigger is recorded without a filling.  The logged path keeps
+    every batch, which is the reference the tests hold both to.
 
     The streams are slices of the rate processes' lists, with no per-call
     numpy merge, which would cost more than a short window's whole run.
@@ -588,50 +593,74 @@ def simulate(
                     break
 
         # ---- advance to the next epoch: the least stream head or emptying ----
-        cand = hp
-        if ha1 < cand:
-            cand = ha1
-        if ha2 < cand:
-            cand = ha2
-        if busy1:
-            d1, s1 = b1, a1 - b1
-            pred1 = t + x1 / (b1 - a1) if s1 < 0.0 else INF
-            if pred1 < cand:
-                cand = pred1
-        else:
-            d1, s1 = a1, 0.0
-        if busy2:
-            al2 = phi * d1 + a2t
-            s2 = al2 - b2
-            pred2 = t + x2 / (b2 - al2) if s2 < 0.0 else INF
-            if pred2 < cand:
-                cand = pred2
-        else:
-            s2 = 0.0
-
-        dt = cand - t
-        if s1 != 0.0:
-            x1 += s1 * dt
-        if s2 != 0.0:
-            x2 += s2 * dt
-        t = cand
-
-        empt1 = empt2 = False
-        if busy1:
-            if cand == pred1:
-                x1 = 0.0
-                empt1 = True
-            elif s1 < 0.0 and x1 <= 0.0:
-                x1 = 0.0  # drain completing within one rounding ulp of cand
-                empt1 = True
-        if busy2:
-            if cand == pred2:
-                x2 = 0.0
-                empt2 = True
-            elif s2 < 0.0 and x2 <= 0.0:
-                x2 = 0.0
-                empt2 = True
-        at_end = cand == horizon
+        # d1 is queue 1's outflow; the slopes s1, s2 hold until a rate jumps.
+        d1, s1 = (b1, a1 - b1) if busy1 else (a1, 0.0)
+        s2 = (phi * d1 + a2t) - b2 if busy2 else 0.0
+        while True:  # the busy run (unlogged pass only; see the docstring)
+            cand = hp
+            if ha1 < cand:
+                cand = ha1
+            if ha2 < cand:
+                cand = ha2
+            if s1 < 0.0:
+                pred1 = t - x1 / s1
+                if pred1 < cand:
+                    cand = pred1
+            if s2 < 0.0:
+                pred2 = t - x2 / s2
+                if pred2 < cand:
+                    cand = pred2
+            dt = cand - t
+            if s1 != 0.0:
+                x1 += s1 * dt
+            if s2 != 0.0:
+                x2 += s2 * dt
+            t = cand
+            if (hp == t or s1 < 0.0 and (t == pred1 or x1 <= 0.0)
+                    or s2 < 0.0 and (t == pred2 or x2 <= 0.0) or log):
+                break
+            if ha1 == t:  # a queue-1 jump; while busy, queue 1's outflow is b1
+                new = r1[i1]
+                if ha2 == t or not busy1 and (new - b1 > 0.0 or
+                                              not busy2 and phi * new + a2t - b2 > 0.0):
+                    break
+                i1, ha1 = i1 + 1, e1[i1 + 1]
+                hit = new != a1
+                if hit:
+                    a1 = new
+                    if busy1:
+                        s1 = a1 - b1
+                    else:
+                        d1 = a1
+                        if busy2:
+                            s2 = (phi * d1 + a2t) - b2
+            else:  # a lone queue-2 jump
+                new = r2[i2]
+                if not busy2 and phi * d1 + new - b2 > 0.0:
+                    break
+                i2, ha2 = i2 + 1, e2[i2 + 1]
+                hit = new != a2t
+                if hit:
+                    a2t = new
+                    if busy2:
+                        s2 = (phi * d1 + a2t) - b2
+            q1 += 0.5 * (xl1 + x1) * dt
+            q2 += 0.5 * (xl2 + x2) * dt
+            xl1, xl2 = x1, x2
+            if hit:
+                dtp = t - tp
+                r11 += v11 * dtp
+                r22 += v22 * dtp
+                r21 += v21 * dtp
+                tp = t
+        # The emptyings that ended the busy run (x <= 0.0: within an ulp of t).
+        empt1 = s1 < 0.0 and (t == pred1 or x1 <= 0.0)
+        empt2 = s2 < 0.0 and (t == pred2 or x2 <= 0.0)
+        if empt1:
+            x1 = 0.0
+        if empt2:
+            x2 = 0.0
+        at_end = t == horizon
 
     if log:
         append_event(new_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,

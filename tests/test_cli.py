@@ -174,6 +174,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t"),
                      "--zeta-list", "1.2"]) == 2
 
+    @pytest.mark.parametrize("zetas, first, second", [("0.1,0.1000001", "0.1", "0.1000001"),
+                                                      ("0.3,0.1,0.1", "0.1", "0.1")])
+    def test_zetas_sharing_a_file_name_are_rejected(self, tmp_path, capsys, zetas, first,
+                                                    second):
+        # Both values render as z0.1 in the run file names, so the second
+        # cell's runs would overwrite the first's.
+        out = tmp_path / "t"
+        assert main(["table1", "--config", fast_cfg(tmp_path), "--out", str(out),
+                     "--zeta-list", zetas]) == 2
+        err = capsys.readouterr().err
+        assert f"{first} and {second}" in err and "z0.1" in err
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--mode", "sideways"])

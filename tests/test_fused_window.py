@@ -7,7 +7,9 @@ simulator in exact_reference, on windows of a reduced table1 sweep, of both
 gradient-oracle batteries and of a seeded fuzz near coincident epochs.  One
 recorded digest pins every field of every logged event on a fixed set of
 windows.  Hand-made and random low-load windows pin the unlogged pass's
-skip over arrival jumps that fall while both queues are empty.  Seeded
+skip over arrival jumps that fall while both queues are empty; hand-made
+and seeded busy-heavy windows pin its busy run, which applies each lone
+arrival jump in place while a queue is busy.  Seeded
 windows restarted at every batch epoch, and two hand-made windows that
 start on a staircase step and on a green onset, pin which light-plan
 entries are in force at t0.
@@ -17,6 +19,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,7 @@ from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import _closed_loop, default_paper_config, gen_onoff
 from tandemflow.simcore import (
     BUSY_START,
+    EMPTY_START,
     EXO_RATE_JUMP,
     GREEN_START,
     INTERNAL_RATE_JUMP,
@@ -354,6 +358,112 @@ def test_random_low_load_windows():
         idle_jumps += sum(e.kind == EXO_RATE_JUMP and not (e.busy1_r or e.busy2_r)
                           for e in logged.events)
     assert idle_jumps > 600  # 816 logged jumps into two empty queues
+
+
+# Hand-made windows around the unlogged pass's busy run, one for each
+# reason it hands over to the general batch: constant service at 5.0, both
+# cycles 1.0.  Each entry is (arrivals1, arrivals2_tilde, (theta1, theta2),
+# phi, x0, t0, {checked epoch: the (kind, queue) pairs logged there}).  A
+# queue is busy entering each checked epoch, and most windows also hold lone
+# jumps (one of them a no-op) that the busy run applies before it.
+DRAIN_T0, DRAIN_X1, DRAIN_JUMP = 0.492309659149863, 1.1741822064030165, 0.8837037279508685
+BUSY_WINDOWS = {
+    # Queue 1 drains to zero exactly at 0.75, where its arrivals jump.
+    "jump tied with a predicted emptying": (
+        [(0.0, 1.0), (0.375, 3.0), (0.75, 2.0), (1.25, 0.0)], [(0.0, 0.5), (0.4375, 1.0)],
+        (0.25, 0.5), 0.5, (1.0, 0.0), 0.0,
+        {0.75: [(EXO_RATE_JUMP, 1), (EMPTY_START, 1)]}),
+    "jump one ulp before a light switch": (
+        [(0.0, 1.0), (0.125, 2.0), (math.nextafter(0.25, 0.0), 3.0), (0.5, 0.0)], [(0.0, 0.0)],
+        (0.25, 0.5), 0.5, (2.0, 0.0), 0.0,
+        {math.nextafter(0.25, 0.0): [(EXO_RATE_JUMP, 1)],
+         0.25: [(GREEN_START, 1), (BUSY_START, 2)]}),
+    # One drain from t0 to the jump: the predicted emptying is one ulp after
+    # the jump, and x1 + s1 * dt rounds to 0.0 at the jump itself.
+    "drain rounds to zero at a jump": (
+        [(0.0, 2.0), (DRAIN_JUMP, 1.0)], [(0.0, 0.0)], (0.25, 0.25), 0.0, (DRAIN_X1, 0.0),
+        DRAIN_T0, {DRAIN_JUMP: [(EXO_RATE_JUMP, 1), (EMPTY_START, 1)]}),
+    # The same window with queue 2's green onset at 0.5 splitting the drain:
+    # queue 1 empties one ulp after the jump.
+    "drain completes one ulp after a jump": (
+        [(0.0, 2.0), (DRAIN_JUMP, 1.0)], [(0.0, 0.0)], (0.25, 0.5), 0.0, (DRAIN_X1, 0.0),
+        DRAIN_T0, {DRAIN_JUMP: [(EXO_RATE_JUMP, 1)],
+                   math.nextafter(DRAIN_JUMP, 1.0): [(EMPTY_START, 1)]}),
+    # Queue 1 busy through its red, queue 2 green and idle: the jump at
+    # 0.3125 leaves queue 2's net inflow negative, the one at 0.375 fills it.
+    "queue-2 jump fills an idle queue 2 while queue 1 is busy": (
+        [(0.0, 1.0)], [(0.0, 0.0), (0.3125, 1.0), (0.375, 6.0), (0.5, 0.0)],
+        (0.5, 0.25), 0.5, (1.0, 0.0), 0.0,
+        {0.3125: [(EXO_RATE_JUMP, 2)], 0.375: [(EXO_RATE_JUMP, 2), (BUSY_START, 2)]}),
+    "queue-1 jump fills an idle queue 1 while queue 2 is busy": (
+        [(0.0, 1.0), (0.5625, 4.0), (0.625, 6.0), (0.75, 0.0)], [(0.0, 1.0)],
+        (0.25, 0.5), 0.5, (0.0, 2.0), 0.0,
+        {0.5625: [(EXO_RATE_JUMP, 1)], 0.625: [(EXO_RATE_JUMP, 1), (BUSY_START, 1)]}),
+    # While queue 1 is busy its outflow is its service rate, not its
+    # arrivals, so no queue-1 jump can fill queue 2: a jump to 9.0 during
+    # queue 1's red leaves the idle queue 2 idle.
+    "queue-1 jump while queue 1 is busy fills nothing": (
+        [(0.0, 1.0), (0.375, 9.0), (0.4375, 0.0)], [(0.0, 0.25)],
+        (0.5, 0.25), 0.5, (1.0, 0.0), 0.0,
+        {0.375: [(EXO_RATE_JUMP, 1)], 0.5: [(GREEN_START, 1)]}),
+    "two arrival streams tied while busy": (
+        [(0.0, 1.0), (0.375, 1.0), (0.5625, 2.0), (0.75, 0.0)],
+        [(0.0, 0.5), (0.5625, 1.0), (0.625, 0.0)], (0.25, 0.5), 0.5, (2.0, 1.0), 0.0,
+        {0.5625: [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2)], 0.625: [(EXO_RATE_JUMP, 2)]}),
+    # Both streams jump at the horizon, which belongs to the next window;
+    # queue 1's jump one ulp before it is the window's last batch.
+    "jump on the horizon": (
+        [(0.0, 1.0), (1.5, 3.0), (math.nextafter(2.0, 0.0), 4.0), (2.0, 0.0)],
+        [(0.0, 0.5), (2.0, 2.0)], (0.5, 0.5), 0.5, (3.0, 1.0), 0.0,
+        {math.nextafter(2.0, 0.0): [(EXO_RATE_JUMP, 1)], 2.0: []}),
+}
+
+
+@pytest.mark.parametrize("name", list(BUSY_WINDOWS))
+def test_busy_run_hand_over(name):
+    a1, a2t, theta, phi, x0, t0, checked = BUSY_WINDOWS[name]
+    a1, a2t = PiecewiseConstantRate(a1, 4.0), PiecewiseConstantRate(a2t, 4.0)
+    plan = PhasePlan(1.0, 1.0, *theta)
+    check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
+    logged = simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0=t0)
+    for at, pairs in checked.items():
+        assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs, at
+        before = [e for e in logged.events if e.epoch < at][-1]
+        assert before.busy1_r or before.busy2_r, at
+
+
+def busy_lone_jumps(events):
+    """The logged batches that are a single arrival jump while a queue is
+    busy: those the unlogged pass applies in its busy run.  No-op jumps log
+    nothing and are not counted."""
+    inner = events[1:-1]
+    per_epoch = Counter(e.epoch for e in inner)
+    return sum(e.kind == EXO_RATE_JUMP and (e.busy1_r or e.busy2_r) and per_epoch[e.epoch] == 1
+               for e in inner)
+
+
+def test_random_busy_heavy_windows():
+    # Reference on/off arrivals with red durations near their cycles and
+    # backlogs at t0, so a queue is busy nearly all the time: the logged
+    # pass, which applies every jump as its own batch, is the oracle for the
+    # unlogged pass's busy run.  Every fifth window is also held to the
+    # exact reference.
+    cfg = default_paper_config()
+    rng = random.Random(13)
+    lone = 0
+    for w in range(40):
+        c2 = (0.7, 1.0, 1.3)[w % 3]
+        a1 = gen_onoff(cfg.alpha1_spec(), cfg.seed, 30.0, stream=2 * w)
+        a2t = gen_onoff(cfg.alpha2_spec(), cfg.seed, 30.0, stream=2 * w + 1)
+        plan = PhasePlan(1.0, c2, rng.uniform(0.7, 0.95), rng.uniform(0.7, 0.95) * c2)
+        t0 = rng.randrange(26) + rng.choice([0.0, rng.random()])
+        x0 = (rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+        phi = rng.choice([0.5, 0.9, 1.0, rng.random()])
+        service = EDGE_SERVICE if w % 2 else STAIRS
+        args = (a1, a2t, plan, service, phi, x0, t0 + 3.0, t0)
+        check_window(*args, exact=w % 5 == 0)
+        lone += busy_lone_jumps(simulate(*args).events)
+    assert lone > 9000  # 9,821 of the 10,472 batches at this seed
 
 
 # Restarting a window at one of its own batch epochs, from the state there,

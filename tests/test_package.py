@@ -4,8 +4,9 @@ The package computes y and J in one pass, inside `simcore.simulate`.  The
 tests check it against tests/exact_reference.py, an exact-rational
 simulator that must stay independent of the package.  These checks keep a
 second sensitivity pass, and the surface that only a second pass read, from
-returning to the package.  They also pin the event log's fields and the
-module globals that the benchmark harness replaces to time its cycles.
+returning to the package.  They also pin the event log's fields, the one
+advance that `simulate`'s general batch and busy run share, and the module
+globals that the benchmark harness replaces to time its cycles.
 """
 
 import ast
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 import tandemflow
-from tandemflow import oracle, scenario, simcore
+from tandemflow import oracle, regulator, scenario, simcore
 
 PACKAGE_DIR = Path(tandemflow.__file__).parent
 TESTS_DIR = Path(__file__).parent
@@ -46,6 +47,9 @@ def test_pruned_surface_stays_out():
     assert [f.name for f in dataclasses.fields(simcore.JacobianEstimate)] == ["j11", "j21", "j22"]
     assert [f.name for f in dataclasses.fields(simcore.TandemTrajectory)] == \
         ["events", "x_end", "y", "jac"]
+    # CycleRecord.k comes from the loop index; the state keeps no counter.
+    assert [f.name for f in dataclasses.fields(regulator.ControllerState)] == \
+        ["theta", "e", "gain"]
 
 
 def test_event_log_records_only_what_its_readers_read():
@@ -54,6 +58,16 @@ def test_event_log_records_only_what_its_readers_read():
         "epoch", "kind", "queue", "x1", "x2", "busy1_r", "busy2_r", "green1_r", "green2_r",
         "a1_r", "b1_r", "b2_r", "alpha2_r", "trigger_kind", "trigger_queue")
     assert simcore.Event._field_defaults == {}
+
+
+def test_simulate_has_one_advance():
+    # The busy run is a loop around the one advance, not a second copy of
+    # the kernel: each queue's drain appears once in simulate.
+    tree = ast.parse(Path(simcore.__file__).read_text())
+    [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "simulate"]
+    drains = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.AugAssign)]
+    for drain in ("x1 += s1 * dt", "x2 += s2 * dt"):
+        assert drains.count(drain) == 1, drain
 
 
 def test_benchmark_hooks_see_every_call(monkeypatch):

@@ -108,7 +108,6 @@ class TestControlStep:
         assert state.theta[0] == pytest.approx(0.275, abs=1e-15)
         assert state.theta[1] == pytest.approx(0.4, abs=1e-15)
         assert state.gain == gain
-        assert state.k == 1
 
     def test_zero_error_is_a_fixed_point(self):
         state = ControllerState(theta=(0.31, 0.41), e=(0.0, 0.0))
