@@ -4,7 +4,8 @@ Four subcommands: `run` drives one closed-loop experiment and emits its
 per-control-cycle series; `table1` sweeps the arrival spread over both
 controller modes and summarizes each cell; `check-grad` runs the
 finite-difference audit of the Jacobian estimator; `print-config` echoes
-the effective configuration after file and flag overrides.
+the effective configuration after file and flag overrides.  Each takes
+only the overrides it reads: `run` has no --replications, `table1` no --mode.
 
 All CSV output starts with a `#`-prefixed metadata block (tool version,
 mode, seed, and the full effective config), then a header row, then data
@@ -174,10 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
             continue  # a fixed battery: it reads no experiment config
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--seed", type=int, help="override the base seed")
-        p.add_argument("--mode", choices=(CENTRALIZED, DECENTRALIZED),
-                       help="override the controller mode")
-        p.add_argument("--replications", type=int,
-                       help="override the replication count")
+        if name != "table1":  # table1 runs both modes
+            p.add_argument("--mode", choices=(CENTRALIZED, DECENTRALIZED),
+                           help="override the controller mode")
+        if name != "run":  # run runs replication 0 only
+            p.add_argument("--replications", type=int,
+                           help="override the replication count")
         if name == "table1":
             p.add_argument("--zeta-list",
                            default=",".join(_zeta_tag(z) for z in DEFAULT_ZETAS),
@@ -188,13 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_paper_config()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.replications is not None:
-        overrides["replications"] = args.replications
+    overrides = {key: val for key in ("seed", "mode", "replications")
+                 if (val := getattr(args, key, None)) is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

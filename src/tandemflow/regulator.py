@@ -55,15 +55,6 @@ class GuardConfig:
                     f"got [{self.theta_min[i]!r}, {self.theta_max[i]!r}]")
 
 
-@dataclass(slots=True)
-class ControllerState:
-    """Everything the controller carries between cycles."""
-
-    theta: tuple[float, float]
-    e: tuple[float, float] = (0.0, 0.0)
-    gain: Matrix = IDENTITY
-
-
 @dataclass(frozen=True, slots=True)
 class CycleRecord:
     """One row of a closed-loop run: what was applied and what came back."""
@@ -114,10 +105,10 @@ def invert_gain(
     return (row1, row2)
 
 
-def control_step(state: ControllerState, gain: Matrix, guards: GuardConfig) -> ControllerState:
-    """Apply theta += gain @ e with the per-component step cap, then box
-    clamp; records the gain."""
-    e1, e2 = state.e
+def control_step(theta: tuple[float, float], e: tuple[float, float], gain: Matrix,
+                 guards: GuardConfig) -> tuple[float, float]:
+    """The next theta: theta + gain @ e, each component step capped, then box clamped."""
+    e1, e2 = e
     d1 = gain[0][0] * e1 + gain[0][1] * e2
     d2 = gain[1][0] * e1 + gain[1][1] * e2
     cap1, cap2 = guards.step_cap
@@ -129,15 +120,13 @@ def control_step(state: ControllerState, gain: Matrix, guards: GuardConfig) -> C
         d2 = cap2
     elif d2 < -cap2:
         d2 = -cap2
-    th1 = state.theta[0] + d1
-    th2 = state.theta[1] + d2
+    th1 = theta[0] + d1
+    th2 = theta[1] + d2
     lo1, lo2 = guards.theta_min
     hi1, hi2 = guards.theta_max
     th1 = lo1 if th1 < lo1 else (hi1 if th1 > hi1 else th1)
     th2 = lo2 if th2 < lo2 else (hi2 if th2 > hi2 else th2)
-    state.theta = (th1, th2)
-    state.gain = gain
-    return state
+    return (th1, th2)
 
 
 Plant = Callable[[tuple[float, float], int], tuple[tuple[float, float], JacobianEstimate]]
@@ -163,15 +152,14 @@ def run_closed_loop(
         raise ValueError(f"num_cycles must be >= 0, got {num_cycles!r}")
     if guards is None:
         guards = GuardConfig()
-    state = ControllerState(theta=theta_init, gain=initial_gain)
+    theta, gain = theta_init, initial_gain
     records: list[CycleRecord] = []
     for k in range(1, num_cycles + 1):
-        y, jac = plant(state.theta, k)
+        y, jac = plant(theta, k)
         e = (r[0] - y[0], r[1] - y[1])
-        state.e = e
-        records.append(CycleRecord(k=k, theta=state.theta, y=y, e=e, jac=jac))
-        gain = invert_gain(jac, state.gain, mode, guards)
-        control_step(state, gain, guards)
+        records.append(CycleRecord(k=k, theta=theta, y=y, e=e, jac=jac))
+        gain = invert_gain(jac, gain, mode, guards)
+        theta = control_step(theta, e, gain, guards)
     return records
 
 

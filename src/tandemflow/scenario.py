@@ -309,17 +309,13 @@ def summarize(cfg: ExperimentConfig, runs: list[list[CycleRecord]]) -> tuple[flo
     return err1 / n, err2 / n, mx1 / n, mx2 / n
 
 
-_INT_KEYS = {"cycles_per_control", "num_control_cycles", "seed", "replications"}
-_STR_KEYS = {"service_mode", "mode"}
-_ALL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` format; '#' starts a comment.
 
     Unknown and duplicate keys are rejected with their line number; keys
-    left out keep their defaults.
+    left out keep their defaults.  A value is read as its field's annotated type.
     """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs: dict[str, object] = {}
     at_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -331,15 +327,15 @@ def parse_config(text: str) -> ExperimentConfig:
         val = val.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key not in _ALL_KEYS:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {at_line[key]})")
         at_line[key] = lineno
-        if key in _STR_KEYS:
+        if types[key] == "str":
             kwargs[key] = val
-        elif key in _INT_KEYS:
+        elif types[key] == "int":
             try:
                 kwargs[key] = int(val)
             except ValueError:
@@ -349,12 +345,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs[key] = float(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {val!r}") from None
-    try:
-        return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
 
 
 def load_config(path: str) -> ExperimentConfig:

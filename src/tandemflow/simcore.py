@@ -231,13 +231,14 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
     every window agrees bitwise on every epoch.  Entries are (epoch, code,
     rate): a red start carries 0.0 and a green onset the rate it opens at
     (constant service is the one-step staircase [(0.0, beta_max)]).  A green
-    holds the steps strictly after its onset and strictly before its
-    queue's next red start or the horizon: a step on the red start is
-    cancelled by it.  A green onset that rounds onto or past the next red
-    start, which only a theta within rounding of c can cause, is dropped:
-    that cycle's green is empty, and the next red start is dropped with it,
-    so the light stays red through both cycles with no switch between.  The
-    light is red before 0.0, so the red start at 0.0 is dropped too.
+    holds the steps strictly before its queue's next red start or the
+    horizon: a step on the red start is cancelled by it, and a step that
+    rounds onto the onset sets the rate the green opens at.  A green onset
+    that rounds onto or past the next red start, which only a theta within
+    rounding of c can cause, is dropped: that cycle's green is empty, and
+    the next red start is dropped with it, so the light stays red through
+    both cycles with no switch between.  The light is red before 0.0, so the
+    red start at 0.0 is dropped too.
 
     One rule splits the entries at t0: a switch before t0 or a step at or
     before t0 (the staircase is right-continuous) is in force, and the last
@@ -274,9 +275,9 @@ def _light_plan(plan: PhasePlan, service: ServiceProfile, t0: float, horizon: fl
                     e = g + off
                     if e >= nxt or e >= horizon:
                         break  # offsets increase, so the rest fall later still
-                    if e <= g:
-                        continue  # rounds onto its onset
-                    if e <= t0:
+                    if e <= g and g >= t0:
+                        stream[-1] = (g, 2 * q + 1, v)  # rounds onto its onset: opens at v
+                    elif e <= t0:
                         state = (True, v)
                     else:
                         stream.append((e, STEP + q, v))
@@ -348,18 +349,20 @@ def simulate(
     rate already in force, which logs nothing: it still splits the drain
     x += s*dt and the trapezoid sums in two, so dropping it while a queue is
     busy changes the last bits of y, J and the end state.  Without the log,
-    a lone arrival jump (strictly before the next light-plan entry, not tied
-    with the other stream, and filling no idle queue by the batch's own fill
-    tests) is applied in place with no batch, in one of two ways.  The
-    empty-period skip takes those that fall while both queues are empty:
+    an arrival jump (strictly before the next light-plan entry, and filling
+    no idle queue by the batch's own fill tests) is applied in place with no
+    batch, in one of two ways.  The empty-period skip takes those that fall
+    while both queues are empty and are not tied with the other stream:
     there x1 = x2 = 0 and v11 = v22 = v21 = 0, so each term the batch would
     add is a zero.  The busy run takes the rest: the advance is a loop that
     applies such a jump as its batch would (the trapezoid sums, and on a
     rate change the IPA integrals up to t and the affected slope; a jump
-    moves no IPA value) and advances again.  It hands the epoch to the batch
-    at an emptying, a light-plan entry or the horizon, a tie, or a jump that
-    fills.  No trigger is recorded without a filling.  The logged path keeps
-    every batch, which is the reference the tests hold both to.
+    moves no IPA value) and advances again.  Of two tied jumps it applies
+    queue 1's, then queue 2's after an advance of dt = 0.0, which adds only
+    zeros.  It hands the epoch to the batch at an emptying, a light-plan
+    entry or the horizon, or a jump that fills.  No trigger is recorded
+    without a filling.  The logged path keeps every batch, which is the
+    reference the tests hold both to.
 
     The streams are slices of the rate processes' lists, with no per-call
     numpy merge, which would cost more than a short window's whole run.
@@ -621,8 +624,7 @@ def simulate(
                 break
             if ha1 == t:  # a queue-1 jump; while busy, queue 1's outflow is b1
                 new = r1[i1]
-                if ha2 == t or not busy1 and (new - b1 > 0.0 or
-                                              not busy2 and phi * new + a2t - b2 > 0.0):
+                if not busy1 and (new - b1 > 0.0 or not busy2 and phi * new + a2t - b2 > 0.0):
                     break
                 i1, ha1 = i1 + 1, e1[i1 + 1]
                 hit = new != a1
@@ -634,7 +636,7 @@ def simulate(
                         d1 = a1
                         if busy2:
                             s2 = (phi * d1 + a2t) - b2
-            else:  # a lone queue-2 jump
+            else:  # a queue-2 jump
                 new = r2[i2]
                 if not busy2 and phi * d1 + new - b2 > 0.0:
                     break

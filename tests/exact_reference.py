@@ -13,7 +13,8 @@ onset + offset.  k*c is computed in the number type of c and the sums in
 that of theta, so float inputs give the light plan of the float kernel and a
 Fraction theta gives epochs exactly affine in theta.  A green onset that is
 not before its cycle's end is dropped, and a step is kept only if it falls
-strictly after its onset and strictly before the next red start.
+strictly before the next red start; one that rounds onto its onset sets
+the rate the green opens at.
 Everything after that is exact: the run goes from one exogenous epoch to
 the next, solves each emptying t + x / (beta - alpha) in rationals, and
 sums the trapezoids of the piecewise-linear contents.
@@ -65,9 +66,11 @@ def light_plan(c, theta, stairs, t0, horizon):
             e = g + Fraction(off)
             if e >= nxt or e >= horizon:
                 break  # a green onset at or past its cycle's end is dropped
-            if n == 0 or e > g:  # a step that rounds onto its onset is lost
+            if n == 0 or e > g:
                 epochs.append(e)
                 rates.append(v)
+            else:  # a step that rounds onto its onset: the green opens at its rate
+                rates[-1] = v
         k += 1
     return epochs, rates
 

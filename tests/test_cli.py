@@ -187,6 +187,34 @@ class TestExitCodes:
         assert f"{first} and {second}" in err and "z0.1" in err
         assert not out.exists()
 
+    def test_empty_zeta_list(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["table1", "--config", fast_cfg(tmp_path), "--out", str(out),
+                     "--zeta-list", ","]) == 2
+        assert "config error: --zeta-list is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_setpoint(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("r1 = -0.1\n")
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert "config error: r1 must be >= 0, got -0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--replications", "3"],
+                                      ["table1", "--mode", "decentralized"]])
+    def test_overrides_a_subcommand_does_not_read(self, monkeypatch, tmp_path, argv):
+        # run runs replication 0 only and table1 runs both modes, so each
+        # rejects the other override as a usage error before it runs.
+        for name in ("run_replication", "run_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("experiment ran"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--mode", "sideways"])

@@ -553,6 +553,35 @@ def test_green_onset_at_t0_applies_once():
     assert traj.jac.j11 == 2.7777777777777777
 
 
+def onset_step_service(offset):
+    """Queue 1 opens each green at 1.0 and steps to 5.0 `offset` s into it."""
+    return ServiceProfile("ramp", 5.0, 5.0,
+                          ramp1=PiecewiseConstantRate([(0.0, 1.0), (offset, 5.0)], 1.0),
+                          ramp2=PiecewiseConstantRate([(0.0, 5.0)], 1.0))
+
+
+def test_staircase_step_rounding_onto_its_onset_opens_the_green():
+    # A step 1e-16 s into the green lands just after the onset 0.4 but
+    # rounds onto the onsets 1.4 and 2.4, where the ulp is larger.  There
+    # the green opens at the step's rate: were the step dropped, queue 1
+    # would be served at 1.0 all green and end at 6.8, not near 2.0.
+    assert 0.4 + 1e-16 > 0.4 and 1.4 + 1e-16 == 1.4 and 2.4 + 1e-16 == 2.4
+    a1, a2t = constant_rate(3.0, 4.0), constant_rate(0.3, 4.0)
+    plan, x0 = PhasePlan(1.0, 1.0, 0.4, 0.5), (2.0, 0.5)
+    service = onset_step_service(1e-16)
+    whole = check_window(a1, a2t, plan, service, 0.9, x0, 3.0, 0.0)
+    later = simulate(a1, a2t, plan, onset_step_service(1e-12), 0.9, x0, 3.0, log=False)
+    assert whole.x_end[0] == pytest.approx(2.0) == pytest.approx(later.x_end[0])
+    # A step that rounds onto every onset gives the constant-service bits.
+    assert fused(simulate(a1, a2t, plan, onset_step_service(1e-17), 0.9, x0, 3.0)) == \
+        fused(simulate(a1, a2t, plan, EDGE_SERVICE, 0.9, x0, 3.0))
+    # Restarts on the onset 1.4 and inside its green.
+    for t0 in (1.4, 1.9):
+        head = simulate(a1, a2t, plan, service, 0.9, x0, t0, log=False)
+        tail = check_window(a1, a2t, plan, service, 0.9, head.x_end, 3.0, t0)
+        assert bits(*tail.x_end) == bits(*whole.x_end)
+
+
 def fuzz_window(rng):
     """A low-load window moved next to coincident epochs: each theta on an
     arrival epoch mod c, one ulp either side of it, one ulp below c, or as

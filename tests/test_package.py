@@ -12,6 +12,7 @@ globals that the benchmark harness replaces to time its cycles.
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -47,9 +48,8 @@ def test_pruned_surface_stays_out():
     assert [f.name for f in dataclasses.fields(simcore.JacobianEstimate)] == ["j11", "j21", "j22"]
     assert [f.name for f in dataclasses.fields(simcore.TandemTrajectory)] == \
         ["events", "x_end", "y", "jac"]
-    # CycleRecord.k comes from the loop index; the state keeps no counter.
-    assert [f.name for f in dataclasses.fields(regulator.ControllerState)] == \
-        ["theta", "e", "gain"]
+    # The loop threads theta and the gain as locals; e is read in its cycle.
+    assert not hasattr(regulator, "ControllerState")
 
 
 def test_event_log_records_only_what_its_readers_read():
@@ -73,27 +73,45 @@ def test_simulate_has_one_advance():
 def test_benchmark_hooks_see_every_call(monkeypatch):
     # benchmarks/bench.py times control cycles by replacing the module
     # globals scenario.run_closed_loop, whose first argument is the plant,
-    # and oracle.grad_check.  A caller that bound either name elsewhere
-    # would bypass the timing.
-    loops, plant_ks, checks = [], [], []
+    # regulator.invert_gain, regulator.control_step and oracle.grad_check.
+    # A caller that bound any of these names elsewhere would bypass the
+    # timing.  It rebuilds the guard counts from the loop's records and its
+    # mode, guards and initial_gain arguments, bound by name.
+    loops, plant_ks, controls, checks = [], [], [], []
     run_closed_loop, grad_check = scenario.run_closed_loop, oracle.grad_check
 
     def counting_loop(plant, *args, **kwargs):
         def counting_plant(theta, k):
             plant_ks.append(k)
             return plant(theta, k)
-        loops.append(args)
+        loops.append((plant, *args))
         return run_closed_loop(counting_plant, *args, **kwargs)
+
+    def counting(name):
+        fn = getattr(regulator, name)
+
+        def wrapper(*args, **kwargs):
+            controls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
     def counting_check(*args, **kwargs):
         checks.append(args)
         return grad_check(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "run_closed_loop", counting_loop)
+    for name in ("invert_gain", "control_step"):
+        monkeypatch.setattr(regulator, name, counting(name))
     monkeypatch.setattr(oracle, "grad_check", counting_check)
     cfg = dataclasses.replace(scenario.default_paper_config(), num_control_cycles=2)
     assert len(scenario.run_replication(cfg, 0)) == 2
     assert len(loops) == 1 and plant_ks == [1, 2]
+    assert controls == ["invert_gain", "control_step"] * 2
+    bound = inspect.signature(run_closed_loop).bind(*loops[0])
+    bound.apply_defaults()
+    assert bound.arguments["mode"] == cfg.mode
+    assert bound.arguments["guards"] == cfg.guards()
+    assert bound.arguments["initial_gain"] == regulator.IDENTITY
     reports = oracle.run_battery(oracle.deterministic_scenarios()[:1], oracle.DEFAULT_DET_H,
                                  oracle.DEFAULT_DET_TOL)
     assert len(reports) == len(checks) == 1

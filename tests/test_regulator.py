@@ -9,7 +9,6 @@ from tandemflow.regulator import (
     CENTRALIZED,
     DECENTRALIZED,
     IDENTITY,
-    ControllerState,
     GuardConfig,
     control_step,
     invert_gain,
@@ -101,29 +100,21 @@ class TestInvertGain:
 
 class TestControlStep:
     def test_plain_newton_style_update(self):
-        state = ControllerState(theta=(0.4, 0.6),
-                                e=(-1.0 / 6.0, -7.0 / 30.0))
         gain = ((0.75, 0.0), (0.5, 0.5))
-        control_step(state, gain, GuardConfig())
-        assert state.theta[0] == pytest.approx(0.275, abs=1e-15)
-        assert state.theta[1] == pytest.approx(0.4, abs=1e-15)
-        assert state.gain == gain
+        theta = control_step((0.4, 0.6), (-1.0 / 6.0, -7.0 / 30.0), gain, GuardConfig())
+        assert theta[0] == pytest.approx(0.275, abs=1e-15)
+        assert theta[1] == pytest.approx(0.4, abs=1e-15)
 
     def test_zero_error_is_a_fixed_point(self):
-        state = ControllerState(theta=(0.31, 0.41), e=(0.0, 0.0))
-        control_step(state, ((5.0, 1.0), (2.0, 3.0)), GuardConfig())
-        assert state.theta == (0.31, 0.41)
+        theta = control_step((0.31, 0.41), (0.0, 0.0), ((5.0, 1.0), (2.0, 3.0)), GuardConfig())
+        assert theta == (0.31, 0.41)
 
     def test_step_cap_then_box_clamp(self):
-        state = ControllerState(theta=(0.9, 0.5), e=(10.0, 0.0))
-        control_step(state, IDENTITY, GuardConfig())
         # Raw step 10 -> cap 0.25 -> 1.15 -> clamp to the box.
-        assert state.theta == (0.98, 0.5)
+        assert control_step((0.9, 0.5), (10.0, 0.0), IDENTITY, GuardConfig()) == (0.98, 0.5)
 
     def test_cap_preserves_direction(self):
-        state = ControllerState(theta=(0.5, 0.5), e=(-10.0, 3.0))
-        control_step(state, IDENTITY, GuardConfig())
-        assert state.theta == (0.25, 0.75)
+        assert control_step((0.5, 0.5), (-10.0, 3.0), IDENTITY, GuardConfig()) == (0.25, 0.75)
 
 
 class TestClosedLoop:
