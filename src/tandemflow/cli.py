@@ -191,8 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_paper_config()
-    overrides = {key: val for key in ("seed", "mode", "replications")
-                 if (val := getattr(args, key, None)) is not None}
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if getattr(args, "mode", None) is not None:  # table1 has no --mode
+        overrides["mode"] = args.mode
+    if getattr(args, "replications", None) is not None:  # run has no --replications
+        overrides["replications"] = args.replications
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -349,20 +349,20 @@ def simulate(
     rate already in force, which logs nothing: it still splits the drain
     x += s*dt and the trapezoid sums in two, so dropping it while a queue is
     busy changes the last bits of y, J and the end state.  Without the log,
-    an arrival jump (strictly before the next light-plan entry, and filling
-    no idle queue by the batch's own fill tests) is applied in place with no
-    batch, in one of two ways.  The empty-period skip takes those that fall
-    while both queues are empty and are not tied with the other stream:
+    a lone arrival jump (strictly before the next light-plan entry, not tied
+    with the other stream, and filling no idle queue by the batch's own fill
+    tests) is applied in place with no batch, in one of two ways.  The
+    empty-period skip takes those that fall while both queues are empty:
     there x1 = x2 = 0 and v11 = v22 = v21 = 0, so each term the batch would
     add is a zero.  The busy run takes the rest: the advance is a loop that
     applies such a jump as its batch would (the trapezoid sums, and on a
     rate change the IPA integrals up to t and the affected slope; a jump
-    moves no IPA value) and advances again.  Of two tied jumps it applies
-    queue 1's, then queue 2's after an advance of dt = 0.0, which adds only
-    zeros.  It hands the epoch to the batch at an emptying, a light-plan
-    entry or the horizon, or a jump that fills.  No trigger is recorded
-    without a filling.  The logged path keeps every batch, which is the
-    reference the tests hold both to.
+    moves no IPA value) and advances again.  It hands the epoch to the batch
+    at an emptying, a light-plan entry or the horizon, a tie, or a jump that
+    fills.  A tie must go to the batch: applying queue 1's jump alone can
+    predict an emptying at t that queue 2's jump would have prevented or
+    must precede.  No trigger is recorded without a filling.  The logged
+    path keeps every batch, which is the reference the tests hold both to.
 
     The streams are slices of the rate processes' lists, with no per-call
     numpy merge, which would cost more than a short window's whole run.
@@ -624,7 +624,8 @@ def simulate(
                 break
             if ha1 == t:  # a queue-1 jump; while busy, queue 1's outflow is b1
                 new = r1[i1]
-                if not busy1 and (new - b1 > 0.0 or not busy2 and phi * new + a2t - b2 > 0.0):
+                if ha2 == t or not busy1 and (new - b1 > 0.0 or
+                                              not busy2 and phi * new + a2t - b2 > 0.0):
                     break
                 i1, ha1 = i1 + 1, e1[i1 + 1]
                 hit = new != a1
@@ -636,7 +637,7 @@ def simulate(
                         d1 = a1
                         if busy2:
                             s2 = (phi * d1 + a2t) - b2
-            else:  # a queue-2 jump
+            else:  # a lone queue-2 jump
                 new = r2[i2]
                 if not busy2 and phi * d1 + new - b2 > 0.0:
                     break

@@ -410,6 +410,19 @@ BUSY_WINDOWS = {
         [(0.0, 1.0), (0.375, 1.0), (0.5625, 2.0), (0.75, 0.0)],
         [(0.0, 0.5), (0.5625, 1.0), (0.625, 0.0)], (0.25, 0.5), 0.5, (2.0, 1.0), 0.0,
         {0.5625: [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2)], 0.625: [(EXO_RATE_JUMP, 2)]}),
+    # Ties with a queue one ulp from empty at zero slope.  Queue 1's drop
+    # alone would empty queue 2 at 0.5625 and reset v22, but the tied rise
+    # in a2t keeps queue 2's net inflow at its service rate.
+    "tie keeps a near-empty queue 2 busy": (
+        [(0.0, 0.0), (0.25, 2.0), (0.5625, 1.0)], [(0.0, 0.0), (0.25, 4.0), (0.5625, 4.5)],
+        (0.125, 0.25), 0.5, (0.0, 1e-30), 0.0,
+        {0.5625: [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2)]}),
+    # Queue 1's drop empties it at 0.5625, after the tied rise in a2t has
+    # filled queue 2, so queue 1's v11 passes on into v21.
+    "tie fills queue 2 before queue 1 empties": (
+        [(0.0, 0.0), (0.25, 5.0), (0.5625, 1.0)], [(0.0, 0.0), (0.5625, 5.0)],
+        (0.25, 0.125), 0.5, (1e-30, 0.0), 0.0,
+        {0.5625: [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2), (BUSY_START, 2), (EMPTY_START, 1)]}),
     # Both streams jump at the horizon, which belongs to the next window;
     # queue 1's jump one ulp before it is the window's last batch.
     "jump on the horizon": (
