@@ -130,20 +130,16 @@ def grad_check(scn: GradScenario, h: float, tol: float) -> GradCheckReport:
     return GradCheckReport(scn.name, entries, tol)
 
 
-def _steps(horizon: float, pairs) -> PiecewiseConstantRate:
-    return PiecewiseConstantRate(list(pairs), horizon)
-
-
 def deterministic_scenarios() -> list[GradScenario]:
     """Hand-built windows covering the estimator's case analysis.
 
     Red durations sit away from any value at which the event order
     changes, so every column is checkable at tight tolerance.
     """
-    const = ServiceProfile("constant", 5.0, 5.0)
-    slow = ServiceProfile("constant", 3.0, 4.0)
+    const = ServiceProfile(5.0, 5.0)
+    slow = ServiceProfile(3.0, 4.0)
     ramp = ServiceProfile(
-        "ramp", 5.0, 5.0,
+        5.0, 5.0,
         ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.1, 4.0), (0.25, 5.0)], 2.0),
         ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 2.0))
     out: list[GradScenario] = []
@@ -173,12 +169,12 @@ def deterministic_scenarios() -> list[GradScenario]:
         PhasePlan(1.0, 1.0, 0.51, 0.37), const, 0.7, (0.0, 0.0), 0.0, 3.0)
 
     # Exogenous rate steps landing inside red and green periods.
-    a1 = _steps(4.0, ((0.0, 3.8), (0.83, 2.2), (1.91, 4.6), (3.13, 0.7)))
-    a2 = _steps(4.0, ((0.0, 0.3), (1.37, 0.9), (2.71, 0.1)))
+    a1 = PiecewiseConstantRate([(0.0, 3.8), (0.83, 2.2), (1.91, 4.6), (3.13, 0.7)], 4.0)
+    a2 = PiecewiseConstantRate([(0.0, 0.3), (1.37, 0.9), (2.71, 0.1)], 4.0)
     add("exo-steps", a1, a2, PhasePlan(1.0, 1.0, 0.39, 0.57), const, 0.9,
         (0.0, 0.0), 0.0, 4.0)
-    a1 = _steps(3.0, ((0.0, 0.0), (0.41, 4.9), (1.22, 0.0), (1.87, 5.2)))
-    a2 = _steps(3.0, ((0.0, 0.55), (0.9, 0.0), (2.2, 0.8)))
+    a1 = PiecewiseConstantRate([(0.0, 0.0), (0.41, 4.9), (1.22, 0.0), (1.87, 5.2)], 3.0)
+    a2 = PiecewiseConstantRate([(0.0, 0.55), (0.9, 0.0), (2.2, 0.8)], 3.0)
     add("bursty-steps", a1, a2, PhasePlan(1.0, 1.0, 0.33, 0.46), const, 0.9,
         (0.0, 0.0), 0.0, 3.0)
 
@@ -217,20 +213,21 @@ def deterministic_scenarios() -> list[GradScenario]:
     return out
 
 
-def stochastic_scenarios(seed: int = 7, count: int = 10) -> list[GradScenario]:
-    """Frozen on/off realizations with randomized red splits.
+def stochastic_scenarios() -> list[GradScenario]:
+    """Ten frozen on/off realizations with randomized red splits.
 
     Each case fixes one drawn input pair, so the check is still of a
     deterministic function of theta; the randomness only picks the
     scenario.
     """
-    const = ServiceProfile("constant", 5.0, 5.0)
+    seed = 7
+    const = ServiceProfile(5.0, 5.0)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2 ** 32],
                                                             dtype=np.uint64)))
     spec1 = OnOffSpec(4.1, 0.3, 0.063, 0.035)
     spec2 = OnOffSpec(0.41, 0.3, 0.063, 0.035)
     out = []
-    for i in range(count):
+    for i in range(10):
         horizon = float(rng.integers(4, 9))
         th1 = float(rng.uniform(0.15, 0.75))
         th2 = float(rng.uniform(0.15, 0.75))

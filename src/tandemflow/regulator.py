@@ -171,9 +171,8 @@ def make_traffic_plant(
     service: ServiceProfile,
     phi: float,
     cycles_per_control: int,
-    x0: tuple[float, float] = (0.0, 0.0),
 ) -> Plant:
-    """Plant closure over one arrival realization.
+    """Plant closure over one arrival realization, starting from empty queues.
 
     Control windows are contiguous: window k covers [(k-1)T, kT) with
     T = cycles_per_control * c1, and the queue contents carry over between
@@ -185,7 +184,7 @@ def make_traffic_plant(
     if cycles_per_control < 1:
         raise ValueError(f"cycles_per_control must be >= 1, got {cycles_per_control!r}")
     t_window = cycles_per_control * c1
-    x_state = [float(x0[0]), float(x0[1])]
+    x_state = [0.0, 0.0]
 
     def plant(theta: tuple[float, float], k: int) -> tuple[tuple[float, float], JacobianEstimate]:
         plan = PhasePlan(c1, c2, theta[0], theta[1])

@@ -77,8 +77,8 @@ def gen_onoff(spec: OnOffSpec, seed: int, horizon: float, stream: int = 0) -> Pi
     is positive and it starts before the horizon, so zero-length stages (a
     uniform draw of exactly 0.0) are skipped without consuming extra draws.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     blocks, end = [], 0.0
     while end < horizon:
@@ -156,14 +156,10 @@ class ExperimentConfig:
                 "service_mode supports only 'constant' here; staircase service "
                 "profiles carry per-step data and are built programmatically "
                 "via ServiceProfile")
-        for nm in ("cycles_per_control", "replications"):
+        for nm in ("cycles_per_control", "num_control_cycles", "replications"):
             v = getattr(self, nm)
             if v < 1:
                 raise ConfigError(f"{nm} must be >= 1, got {v!r}")
-        # 0 control cycles is legal: it yields an empty run (header only).
-        if self.num_control_cycles < 0:
-            raise ConfigError(
-                f"num_control_cycles must be >= 0, got {self.num_control_cycles!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.seed >= 2 ** 64:
@@ -182,6 +178,14 @@ class ExperimentConfig:
             v = getattr(self, nm)
             if not v > 0.0:
                 raise ConfigError(f"{nm} must be > 0, got {v!r}")
+        try:
+            finite = math.isfinite(self.horizon())
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"num_control_cycles={self.num_control_cycles!r} times cycles_per_control="
+                f"{self.cycles_per_control!r} times c1={self.c1!r} overflows the horizon")
         for nm in ("alpha1_zeta", "alpha2_zeta"):
             v = getattr(self, nm)
             if not 0.0 <= v < 1.0:
@@ -220,10 +224,12 @@ class ExperimentConfig:
                            (self.theta_max_frac * c1, self.theta_max_frac * c2))
 
     def service_profile(self) -> ServiceProfile:
-        return ServiceProfile("constant", self.beta_max1, self.beta_max2)
+        return ServiceProfile(self.beta_max1, self.beta_max2)
 
     def horizon(self) -> float:
-        return self.num_control_cycles * self.cycles_per_control * self.c1
+        # The plant's product: its last window ends at num * (cpc * c1), and
+        # (num * cpc) * c1 can round below that.
+        return self.num_control_cycles * (self.cycles_per_control * self.c1)
 
     def arrival_pair(self, replication: int = 0) -> tuple[PiecewiseConstantRate, PiecewiseConstantRate]:
         """Both arrival realizations for one replication (streams 2r, 2r+1)."""
@@ -248,13 +254,7 @@ def _closed_loop(cfg: ExperimentConfig, arrivals: tuple[PiecewiseConstantRate, .
 
 
 def run_replication(cfg: ExperimentConfig, replication: int = 0) -> list[CycleRecord]:
-    """Run one seeded closed-loop replication of the configured experiment.
-
-    Zero control cycles is a legal degenerate case: no arrivals are even
-    generated and the record list is empty.
-    """
-    if cfg.num_control_cycles == 0:
-        return []
+    """Run one seeded closed-loop replication of the configured experiment."""
     return _closed_loop(cfg, cfg.arrival_pair(replication))
 
 
@@ -274,10 +274,9 @@ def run_sweep(cfg: ExperimentConfig,
                  for mode in (CENTRALIZED, DECENTRALIZED)]
         runs = ([], [])
         for rep in range(cfg.replications):
-            # Zero control cycles need no arrivals and give empty runs.
-            arrivals = cells[0].arrival_pair(rep) if cfg.num_control_cycles else None
+            arrivals = cells[0].arrival_pair(rep)
             for cell, cell_runs in zip(cells, runs):
-                cell_runs.append(_closed_loop(cell, arrivals) if arrivals else [])
+                cell_runs.append(_closed_loop(cell, arrivals))
             del arrivals  # let this pair go before the next one is generated
         sweep += zip(cells, runs)
     return sweep

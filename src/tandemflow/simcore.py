@@ -103,32 +103,25 @@ def constant_rate(rate: float, horizon: float) -> PiecewiseConstantRate:
 class ServiceProfile:
     """Service (departure) rate profile applied during green intervals.
 
-    mode "constant": queue i is served at beta_max_i whenever its light is
-    green.  mode "ramp": the rate follows a nondecreasing staircase over
-    elapsed green time (start-up ramp), given as a PiecewiseConstantRate
-    whose epochs are offsets from the green onset.  Service is always 0
-    during red.
+    Queue i with a ramp_i is served at a rate that follows that nondecreasing
+    staircase over elapsed green time (start-up ramp), given as a
+    PiecewiseConstantRate whose epochs are offsets from the green onset;
+    without one it is served at beta_max_i whenever its light is green.
+    Service is always 0 during red.
     """
 
-    mode: str
     beta_max1: float
     beta_max2: float
     ramp1: PiecewiseConstantRate | None = None
     ramp2: PiecewiseConstantRate | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("constant", "ramp"):
-            raise ValueError(f"mode must be 'constant' or 'ramp', got {self.mode!r}")
         for b, i in ((self.beta_max1, 1), (self.beta_max2, 2)):
             if not (math.isfinite(b) and b > 0.0):
                 raise ValueError(f"beta_max{i} must be positive and finite, got {b!r}")
-        if self.mode == "constant":
-            if self.ramp1 is not None or self.ramp2 is not None:
-                raise ValueError("constant mode takes no ramp staircases")
-            return
         for ramp, bmax, i in ((self.ramp1, self.beta_max1, 1), (self.ramp2, self.beta_max2, 2)):
             if ramp is None:
-                raise ValueError(f"ramp mode requires a staircase for queue {i}")
+                continue
             prev = -INF
             for v in ramp.rates:
                 if v < prev:

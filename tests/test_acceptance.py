@@ -67,7 +67,7 @@ def sweep_cells(sweep):
 
 def single_cycle(theta2):
     plan = PhasePlan(1.0, 1.0, 0.4, theta2)
-    service = ServiceProfile("constant", 5.0, 5.0)
+    service = ServiceProfile(5.0, 5.0)
     traj = simulate(constant_rate(2.0, 1.0), constant_rate(0.0, 1.0),
                     plan, service, 1.0, (0.0, 0.0), 1.0, log=False)
     return traj.y, traj.jac

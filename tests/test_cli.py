@@ -76,14 +76,23 @@ class TestRun:
         assert float(first["theta1"]) == 0.8
         assert float(first["e1"]) == 0.1 - float(first["g1"])
 
-    def test_zero_cycles_emit_header_only(self, tmp_path):
+    def test_zero_cycles_exit_2_and_write_nothing(self, tmp_path, capsys):
         out = tmp_path / "a.csv"
         assert main(["run", "--config",
                      fast_cfg(tmp_path, num_control_cycles=0),
-                     "--out", str(out)]) == 0
-        _, header, rows = read_csv(out)
-        assert header[0] == "k"
-        assert rows == []
+                     "--out", str(out)]) == 2
+        assert "config error: num_control_cycles must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_dyadic_cycle_grid_runs(self, tmp_path):
+        # With c1 = 0.1 the window grid and a horizon rounded the other way
+        # disagree by an ulp at 10 control cycles.
+        cfg = fast_cfg(tmp_path, num_control_cycles=10, cycles_per_control=3, c1=0.1,
+                       c2=0.1, theta1_init=0.05, theta2_init=0.05)
+        out = tmp_path / "a.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r["k"] for r in rows] == [str(k) for k in range(1, 11)]
 
     def test_seventeen_digit_floats_roundtrip(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -118,6 +127,16 @@ class TestExitCodes:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert "config error: theta_max_frac" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["c1 = 1e306", "cycles_per_control = 1" + "0" * 400],
+                             ids=("c1", "cycles_per_control"))
+    def test_horizon_overflow(self, tmp_path, capsys, line):
+        p = tmp_path / "big.cfg"
+        p.write_text(line + "\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: num_control_cycles=50 times cycles_per_control=")
+        assert " times c1=" in err and "overflows" in err
 
     @pytest.mark.parametrize("key", ["eps_j", "step_cap", "theta_min_frac"])
     def test_nonpositive_guard_key(self, tmp_path, capsys, key):

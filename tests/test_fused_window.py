@@ -12,7 +12,8 @@ and seeded busy-heavy windows pin its busy run, which applies each lone
 arrival jump in place while a queue is busy.  Seeded
 windows restarted at every batch epoch, and two hand-made windows that
 start on a staircase step and on a green onset, pin which light-plan
-entries are in force at t0.
+entries are in force at t0.  Windows with a ramp on one queue only pin
+that the other queue is served at its beta_max.
 """
 
 import dataclasses
@@ -121,7 +122,7 @@ def test_oracle_battery_windows():
 # Queue 1's staircase steps at 0.1 and 0.25 s into its green, queue 2's at
 # 0.15 s.
 STAIRS = ServiceProfile(
-    "ramp", 5.0, 5.0,
+    5.0, 5.0,
     ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.1, 4.0), (0.25, 5.0)], 1.0),
     ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 1.0))
 
@@ -153,7 +154,7 @@ def test_idle_staircase_steps_do_not_split_the_integrals():
 # jump that still ends a batch), and both streams have epochs exactly at
 # t0 = 1.0 and at the horizon 3.0.
 TIE_SERVICE = ServiceProfile(
-    "ramp", 5.0, 5.0,
+    5.0, 5.0,
     ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.25, 4.0), (0.75, 5.0)], 1.0),
     ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.3, 5.0)], 1.0))
 TIE_A1 = PiecewiseConstantRate([(0.0, 1.0), (1.0, 1.5), (1.5, 2.5), (1.75, 2.5),
@@ -238,7 +239,7 @@ def test_whole_event_log_is_pinned():
 # entry is (arrivals1, arrivals2_tilde, (theta1, theta2), phi, x0, t0,
 # checked epoch, the (kind, queue) pairs logged there).  Every window opens
 # with both queues empty, and each checked epoch falls while they still are.
-EDGE_SERVICE = ServiceProfile("constant", 5.0, 5.0)
+EDGE_SERVICE = ServiceProfile(5.0, 5.0)
 EDGE_WINDOWS = {
     # Skipped jumps at 0.5625 (queue 1) and 0.59375 (queue 2), then one
     # that fills queue 1 in green; queue 1 stays busy into the next red.
@@ -560,7 +561,7 @@ def test_green_onset_at_t0_applies_once():
     plan = PhasePlan(1.0, 1.0, 0.1, 0.5)
     assert 3.0 + 0.1 == 3.1 and 3.1 - 3.0 > 0.1
     traj = simulate(constant_rate(1.0, 4.0), constant_rate(0.41, 4.0), plan,
-                    ServiceProfile("constant", 3.0, 3.0), 0.9, (1.0, 0.0), 3.64, t0=3.1)
+                    ServiceProfile(3.0, 3.0), 0.9, (1.0, 0.0), 3.64, t0=3.1)
     assert (traj.events[0].green1_r, traj.events[0].b1_r) == (False, 0.0)
     assert [e.kind for e in traj.events if e.queue == 1 and e.epoch == 3.1] == [GREEN_START]
     assert traj.jac.j11 == 2.7777777777777777
@@ -568,7 +569,7 @@ def test_green_onset_at_t0_applies_once():
 
 def onset_step_service(offset):
     """Queue 1 opens each green at 1.0 and steps to 5.0 `offset` s into it."""
-    return ServiceProfile("ramp", 5.0, 5.0,
+    return ServiceProfile(5.0, 5.0,
                           ramp1=PiecewiseConstantRate([(0.0, 1.0), (offset, 5.0)], 1.0),
                           ramp2=PiecewiseConstantRate([(0.0, 5.0)], 1.0))
 
@@ -593,6 +594,22 @@ def test_staircase_step_rounding_onto_its_onset_opens_the_green():
         head = simulate(a1, a2t, plan, service, 0.9, x0, t0, log=False)
         tail = check_window(a1, a2t, plan, service, 0.9, head.x_end, 3.0, t0)
         assert bits(*tail.x_end) == bits(*whole.x_end)
+
+
+@pytest.mark.parametrize("queue", [1, 2])
+def test_ramp_on_one_queue_only(queue):
+    # The queue without a ramp is served at its beta_max: the same bits as a
+    # one-step staircase at that rate, and not those of constant service.
+    a1, a2t = constant_rate(3.4, 4.0), constant_rate(0.9, 4.0)
+    plan, x0 = PhasePlan(1.0, 1.0, 0.37, 0.49), (0.6, 0.2)
+    ramps = {f"ramp{queue}": getattr(STAIRS, f"ramp{queue}")}
+    mixed = ServiceProfile(5.0, 5.0, **ramps)
+    spelled = ServiceProfile(5.0, 5.0, **{f"ramp{3 - queue}": constant_rate(5.0, 1.0)}, **ramps)
+    for t0 in (0.0, 1.3):
+        traj = check_window(a1, a2t, plan, mixed, 0.9, x0, 4.0, t0)
+        assert fused(traj) == fused(simulate(a1, a2t, plan, spelled, 0.9, x0, 4.0, t0=t0))
+        assert fused(traj) != fused(simulate(a1, a2t, plan, EDGE_SERVICE, 0.9, x0, 4.0, t0=t0))
+    assert assert_jacobian(traj.jac, exact_jacobian(a1, a2t, plan, mixed, 0.9, x0, 4.0, 1.3)) == 2
 
 
 def fuzz_window(rng):

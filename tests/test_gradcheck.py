@@ -34,7 +34,7 @@ from tandemflow.simcore import (
     constant_rate,
 )
 
-CONST5 = ServiceProfile("constant", 5.0, 5.0)
+CONST5 = ServiceProfile(5.0, 5.0)
 
 
 def single_cycle_scenario(theta2: float) -> GradScenario:

@@ -29,7 +29,7 @@ def random_scenarios():
                          float(rng.uniform(0.05, 0.95)) * c1,
                          float(rng.uniform(0.05, 0.95)) * c2)
         beta = float(rng.integers(2, 7))
-        service = ServiceProfile("constant", beta, beta)
+        service = ServiceProfile(beta, beta)
         phi = float(rng.uniform(0.0, 1.0))
         horizon = float(rng.uniform(2.0, 5.0))
         spec1 = OnOffSpec(float(rng.uniform(0.5, 5.0)),

@@ -29,7 +29,7 @@ from tandemflow.simcore import (
     simulate,
 )
 
-CONST5 = ServiceProfile("constant", 5.0, 5.0)
+CONST5 = ServiceProfile(5.0, 5.0)
 
 
 def window(theta1, theta2, a1, a2t, phi=1.0, horizon=1.0, x0=(0.0, 0.0)):

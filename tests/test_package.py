@@ -52,6 +52,15 @@ def test_pruned_surface_stays_out():
     assert not hasattr(regulator, "ControllerState")
 
 
+def test_inputs_are_stated_once():
+    # A queue follows its ramp when one is given, else its beta_max; the
+    # plant starts from empty queues; the stochastic battery is fixed.
+    assert [f.name for f in dataclasses.fields(simcore.ServiceProfile)] == \
+        ["beta_max1", "beta_max2", "ramp1", "ramp2"]
+    assert "x0" not in inspect.signature(regulator.make_traffic_plant).parameters
+    assert list(inspect.signature(oracle.stochastic_scenarios).parameters) == []
+
+
 def test_event_log_records_only_what_its_readers_read():
     # Each event carries the state just after it; no reader needs a left limit.
     assert simcore.Event._fields == (

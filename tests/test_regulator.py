@@ -189,14 +189,6 @@ class TestTrafficPlant:
             assert rec.jac.j12 == 0.0
             assert math.isfinite(rec.y[0]) and math.isfinite(rec.y[1])
 
-    def test_rejects_nonfinite_initial_contents(self):
-        cfg = default_paper_config()
-        arr1, arr2 = cfg.arrival_pair(0)
-        plant = make_traffic_plant(arr1, arr2, cfg.c1, cfg.c2, cfg.service_profile(),
-                                   cfg.phi, cfg.cycles_per_control, x0=(0.0, math.nan))
-        with pytest.raises(ValueError, match="queue 2 .*got nan"):
-            plant((cfg.theta1_init, cfg.theta2_init), 1)
-
     def test_rejects_zero_window(self):
         cfg = default_paper_config()
         arr1, arr2 = cfg.arrival_pair(0)

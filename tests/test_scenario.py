@@ -1,6 +1,7 @@
 """Arrival generation and config parsing: determinism, ranges, overrides."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ class TestOnOffGeneration:
         with pytest.raises(ValueError):
             gen_onoff(OnOffSpec(4.1, 0.3, 0.02, 0.063), 1, 0.0)
 
+    def test_nonfinite_horizon_is_rejected_before_any_draw(self, monkeypatch):
+        # An infinite horizon would draw blocks forever; a generator that
+        # refuses to be built makes a missing check fail instead of hang.
+        def no_generator(*args):
+            raise AssertionError("gen_onoff built a generator")
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        for h in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                gen_onoff(OnOffSpec(4.1, 0.3, 0.02, 0.063), 1, h)
+
 
 class TestBlockGeneratorMatchesScalarLoop:
     """gen_onoff draws its stages in blocks; it must equal the per-stage
@@ -270,10 +281,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(f"seed = {2 ** 64}\n")
 
-    def test_zero_control_cycles_is_legal(self):
-        cfg = ExperimentConfig(num_control_cycles=0, replications=2)
-        assert run_replication(cfg) == []
-        assert [runs for _, runs in run_sweep(cfg, [0.1])] == [[[], []], [[], []]]
+    def test_zero_control_cycles_are_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="^num_control_cycles must be >= 1, got 0"):
+            ExperimentConfig(num_control_cycles=0)
+        with pytest.raises(ConfigError, match="^num_control_cycles must be >= 1, got 0"):
+            parse_config("num_control_cycles = 0\n")
+
+    @pytest.mark.parametrize("num", range(10, 15))
+    def test_control_window_grid_ends_on_the_horizon(self, num):
+        # (num * 3) * 0.1 and num * (3 * 0.1) differ by an ulp for some num;
+        # the arrivals must reach the end of the plant's last window.
+        cfg = ExperimentConfig(c1=0.1, c2=0.1, theta1_init=0.05, theta2_init=0.05,
+                               cycles_per_control=3, num_control_cycles=num)
+        assert cfg.horizon() == num * (3 * 0.1)
+        assert [r.k for r in run_replication(cfg)] == list(range(1, num + 1))
+
+    @pytest.mark.parametrize("key, value", [("c1", 1e306), ("cycles_per_control", 10 ** 400)],
+                             ids=("c1", "cycles_per_control"))
+    def test_horizon_that_overflows_is_named(self, key, value):
+        # 1e306 gives an infinite float product; 10**400 is too large for a float.
+        msg = "^num_control_cycles=50 times cycles_per_control=.* times c1=.* overflows"
+        with pytest.raises(ConfigError, match=msg):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=msg):
+            parse_config(f"{key} = {value}\n")
 
     def test_arrivals_do_not_depend_on_controller_fields(self):
         cfg = default_paper_config()

@@ -21,7 +21,7 @@ from tandemflow.simcore import (
     simulate,
 )
 
-CONST5 = ServiceProfile("constant", 5.0, 5.0)
+CONST5 = ServiceProfile(5.0, 5.0)
 
 
 def build_switch_epochs(plan, horizon, t0=0.0):
@@ -131,22 +131,21 @@ class TestPlanAndProfiles:
             PhasePlan(0.0, 1.0, 0.4, 0.4)
 
     def test_service_profile_validation(self):
-        with pytest.raises(ValueError):
-            ServiceProfile("linear", 5.0, 5.0)
-        with pytest.raises(ValueError):
-            ServiceProfile("constant", 0.0, 5.0)
-        with pytest.raises(ValueError):
-            ServiceProfile("ramp", 5.0, 5.0)
+        with pytest.raises(ValueError, match="beta_max1"):
+            ServiceProfile(0.0, 5.0)
+        with pytest.raises(ValueError, match="beta_max2"):
+            ServiceProfile(5.0, math.inf)
         stair = PiecewiseConstantRate([(0.0, 2.0), (0.1, 5.0)], 1.0)
         decreasing = PiecewiseConstantRate([(0.0, 5.0), (0.1, 2.0)], 1.0)
-        with pytest.raises(ValueError):
-            ServiceProfile("ramp", 5.0, 5.0, ramp1=stair, ramp2=decreasing)
+        with pytest.raises(ValueError, match="ramp2 staircase must be nondecreasing"):
+            ServiceProfile(5.0, 5.0, ramp1=stair, ramp2=decreasing)
         too_high = PiecewiseConstantRate([(0.0, 2.0), (0.1, 6.0)], 1.0)
-        with pytest.raises(ValueError):
-            ServiceProfile("ramp", 5.0, 5.0, ramp1=too_high, ramp2=stair)
-        with pytest.raises(ValueError):
-            ServiceProfile("constant", 5.0, 5.0, ramp1=stair)
-        ServiceProfile("ramp", 5.0, 5.0, ramp1=stair, ramp2=stair)
+        with pytest.raises(ValueError, match="ramp1 staircase exceeds beta_max1"):
+            ServiceProfile(5.0, 5.0, ramp1=too_high)
+        # A ramp on either queue alone is legal; the other is served at its beta_max.
+        ServiceProfile(5.0, 5.0, ramp1=stair, ramp2=stair)
+        ServiceProfile(5.0, 5.0, ramp1=stair)
+        ServiceProfile(5.0, 5.0, ramp2=stair)
 
     def test_switch_epochs_single_cycle(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
@@ -409,7 +408,7 @@ class TestMidstreamWindows:
 
     def test_ramp_service_steps_mid_green(self):
         stair = PiecewiseConstantRate([(0.0, 1.0), (0.2, 5.0)], 1.0)
-        prof = ServiceProfile("ramp", 5.0, 5.0, ramp1=stair,
+        prof = ServiceProfile(5.0, 5.0, ramp1=stair,
                               ramp2=constant_rate(5.0, 1.0))
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
         def x1_at(t):
