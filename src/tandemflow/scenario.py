@@ -67,6 +67,9 @@ class OnOffSpec:
 # Stages drawn per generator call; any size gives the same realization.
 _BLOCK = 1024
 
+# The cap on a config's expected stages per arrival stream, horizon / mean stage.
+MAX_STAGES = 10 ** 6  # about 50 times the default's 20,408
+
 
 def gen_onoff(spec: OnOffSpec, seed: int, horizon: float, stream: int = 0) -> PiecewiseConstantRate:
     """One seeded realization of an off/on process over [0, horizon).
@@ -186,6 +189,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"num_control_cycles={self.num_control_cycles!r} times cycles_per_control="
                 f"{self.cycles_per_control!r} times c1={self.c1!r} overflows the horizon")
+        for i in (1, 2):
+            stage = (getattr(self, f"alpha{i}_off_max") + getattr(self, f"alpha{i}_on_max")) / 2.0
+            if self.horizon() / stage > MAX_STAGES:
+                raise ConfigError(f"num_control_cycles * cycles_per_control * c1 = {self.horizon()!r} "
+                                  f"over (alpha{i}_off_max + alpha{i}_on_max) / 2 = {stage!r} expects "
+                                  f"more than MAX_STAGES={MAX_STAGES} stages per stream")
         for nm in ("alpha1_zeta", "alpha2_zeta"):
             v = getattr(self, nm)
             if not 0.0 <= v < 1.0:

@@ -320,12 +320,11 @@ def simulate(
     repeats the rest of the run: the same end state, and the same events
     after the restart epoch.
 
-    The window outputs y and jac are computed in the same pass.  With
-    log=False the event log is not built (the list stays empty), which is
-    all a closed-loop plant needs; y, jac and the end state are the same
-    bits either way.  With log=True the log is a list of immutable `Event`
-    named tuples, each built inline at its site from one tuple of all 15
-    fields.
+    The window outputs y and jac are computed in the same pass.  `log` only
+    decides whether events are appended, so y, jac and the end state are
+    the same bits either way.  With log=False the list stays empty, which is
+    all a closed-loop plant needs; with log=True it holds immutable `Event`
+    named tuples, each built inline from one tuple of all 15 fields.
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -338,24 +337,24 @@ def simulate(
     fillings.  The order fixes the order of every float operation, which
     keeps y, J and the end state reproducible bit for bit.
 
-    With the log, every arrival epoch ends a batch, including a jump to the
-    rate already in force, which logs nothing: it still splits the drain
-    x += s*dt and the trapezoid sums in two, so dropping it while a queue is
-    busy changes the last bits of y, J and the end state.  Without the log,
-    a lone arrival jump (strictly before the next light-plan entry, not tied
+    A lone arrival jump (strictly before the next light-plan entry, not tied
     with the other stream, and filling no idle queue by the batch's own fill
-    tests) is applied in place with no batch, in one of two ways.  The
-    empty-period skip takes those that fall while both queues are empty:
-    there x1 = x2 = 0 and v11 = v22 = v21 = 0, so each term the batch would
-    add is a zero.  The busy run takes the rest: the advance is a loop that
-    applies such a jump as its batch would (the trapezoid sums, and on a
-    rate change the IPA integrals up to t and the affected slope; a jump
-    moves no IPA value) and advances again.  It hands the epoch to the batch
-    at an emptying, a light-plan entry or the horizon, a tie, or a jump that
-    fills.  A tie must go to the batch: applying queue 1's jump alone can
-    predict an emptying at t that queue 2's jump would have prevented or
-    must precede.  No trigger is recorded without a filling.  The logged
-    path keeps every batch, which is the reference the tests hold both to.
+    tests) is applied in place with no batch, in one of two ways, and logged
+    as its batch would log it.  The empty-period skip takes those that fall
+    while both queues are empty: there x1 = x2 = 0 and v11 = v22 = v21 = 0,
+    so each term the batch would add is a zero.  The busy run takes the
+    rest: the advance is a loop that applies such a jump as its batch would
+    (the trapezoid sums, and on a rate change the IPA integrals up to t and
+    the affected slope; a jump moves no IPA value) and advances again.  A
+    jump to the rate already in force logs nothing, but it still splits the
+    drain x += s*dt and the trapezoid sums in two, so dropping it while a
+    queue is busy changes the last bits of y, J and the end state.  The busy
+    run hands the epoch to the batch at an emptying, a light-plan entry or
+    the horizon, a tie, or a jump that fills.  A tie must go to the batch:
+    applying queue 1's jump alone can predict an emptying at t that queue
+    2's jump would have prevented or must precede.  No trigger is recorded
+    without a filling.  A window whose arrival epochs all tie takes neither
+    shortcut: it is the tests' bit oracle for both.
 
     The streams are slices of the rate processes' lists, with no per-call
     numpy merge, which would cost more than a short window's whole run.
@@ -566,8 +565,8 @@ def simulate(
         if at_end:
             break
 
-        # ---- empty-period skip (unlogged pass only; see the docstring) ----
-        if not (busy1 or busy2 or log):
+        # ---- empty-period skip (see the docstring) ----
+        if not (busy1 or busy2):
             while True:
                 if ha1 < ha2 and ha1 < hp:
                     new = r1[i1]
@@ -577,6 +576,9 @@ def simulate(
                     ha1 = e1[i1]
                     if new != a1:
                         a1, tp = new, t  # tp as the batch would leave it
+                        if log:
+                            append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, False, False, green1,
+                                                    green2, a1, b1, b2, phi * a1 + a2t, -1, 0)))
                 elif ha2 < ha1 and ha2 < hp:
                     new = r2[i2]
                     if phi * a1 + new - b2 > 0.0:
@@ -585,6 +587,9 @@ def simulate(
                     ha2 = e2[i2]
                     if new != a2t:
                         a2t, tp = new, t
+                        if log:
+                            append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, False, False, green1,
+                                                    green2, a1, b1, b2, phi * a1 + a2t, -1, 0)))
                 else:
                     break
 
@@ -592,7 +597,7 @@ def simulate(
         # d1 is queue 1's outflow; the slopes s1, s2 hold until a rate jumps.
         d1, s1 = (b1, a1 - b1) if busy1 else (a1, 0.0)
         s2 = (phi * d1 + a2t) - b2 if busy2 else 0.0
-        while True:  # the busy run (unlogged pass only; see the docstring)
+        while True:  # the busy run (see the docstring)
             cand = hp
             if ha1 < cand:
                 cand = ha1
@@ -613,7 +618,7 @@ def simulate(
                 x2 += s2 * dt
             t = cand
             if (hp == t or s1 < 0.0 and (t == pred1 or x1 <= 0.0)
-                    or s2 < 0.0 and (t == pred2 or x2 <= 0.0) or log):
+                    or s2 < 0.0 and (t == pred2 or x2 <= 0.0)):
                 break
             if ha1 == t:  # a queue-1 jump; while busy, queue 1's outflow is b1
                 new = r1[i1]
@@ -630,6 +635,9 @@ def simulate(
                         d1 = a1
                         if busy2:
                             s2 = (phi * d1 + a2t) - b2
+                    if log:
+                        append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
+                                                a1, b1, b2, phi * d1 + a2t, -1, 0)))
             else:  # a lone queue-2 jump
                 new = r2[i2]
                 if not busy2 and phi * d1 + new - b2 > 0.0:
@@ -640,6 +648,9 @@ def simulate(
                     a2t = new
                     if busy2:
                         s2 = (phi * d1 + a2t) - b2
+                    if log:
+                        append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
+                                                a1, b1, b2, phi * d1 + a2t, -1, 0)))
             q1 += 0.5 * (xl1 + x1) * dt
             q2 += 0.5 * (xl2 + x2) * dt
             xl1, xl2 = x1, x2

@@ -138,6 +138,16 @@ class TestExitCodes:
         assert err.startswith("config error: num_control_cycles=50 times cycles_per_control=")
         assert " times c1=" in err and "overflows" in err
 
+    def test_horizon_beyond_the_stage_limit(self, tmp_path, capsys):
+        # A finite horizon of 1e303 s would ask gen_onoff for about 2e304
+        # stages per stream; the config fails before any is drawn.
+        p = tmp_path / "long.cfg"
+        p.write_text("c1 = 1e300\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: num_control_cycles * cycles_per_control * c1 = ")
+        assert "MAX_STAGES=1000000" in err
+
     @pytest.mark.parametrize("key", ["eps_j", "step_cap", "theta_min_frac"])
     def test_nonpositive_guard_key(self, tmp_path, capsys, key):
         p = tmp_path / "bad.cfg"

@@ -6,20 +6,26 @@ same bits, and they must lie within a rounding bound of the exact-rational
 simulator in exact_reference, on windows of a reduced table1 sweep, of both
 gradient-oracle batteries and of a seeded fuzz near coincident epochs.  One
 recorded digest pins every field of every logged event on a fixed set of
-windows.  Hand-made and random low-load windows pin the unlogged pass's
-skip over arrival jumps that fall while both queues are empty; hand-made
-and seeded busy-heavy windows pin its busy run, which applies each lone
-arrival jump in place while a queue is busy.  Seeded
-windows restarted at every batch epoch, and two hand-made windows that
-start on a staircase step and on a green onset, pin which light-plan
-entries are in force at t0.  Windows with a ramp on one queue only pin
-that the other queue is served at its beta_max.
+windows.
+
+Both passes take two shortcuts past the general batch: the skip over
+arrival jumps that fall while both queues are empty, and the busy run,
+which applies each lone arrival jump in place while a queue is busy.  Their
+bit oracle is the tie-forced window (`tie_forced`): each arrival stream
+gains a no-op epoch at every epoch of the other, so no arrival epoch is
+lone and both passes hand every one to the general batch.  Hand-made and
+random low-load windows pin the skip; hand-made and seeded busy-heavy
+windows pin the busy run.  Seeded windows restarted at every batch epoch,
+and two hand-made windows that start on a staircase step and on a green
+onset, pin which light-plan entries are in force at t0.  Windows with a
+ramp on one queue only pin that the other queue is served at its beta_max.
 """
 
 import dataclasses
 import hashlib
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -63,15 +69,47 @@ def fused(traj):
     return bits(*traj.y, jac.j11, jac.j21, jac.j22, *traj.x_end)
 
 
+def log_bits(events):
+    """Exact identity of an event log, floats as float.hex."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in e) for e in events]
+
+
+def tie_forced(a1, a2t, t0, horizon):
+    """The window's arrival pair with every arrival epoch tied.
+
+    Each stream gains a no-op epoch, at the rate already in force, at each
+    epoch of the other stream in [t0, horizon) that it lacks; epochs outside
+    the window are dropped, and the rate in force at t0 is kept.  Every
+    arrival epoch is then a tie, so neither the skip nor the busy run takes
+    one: each ends a general batch.  A no-op jump logs nothing and falls
+    inside a batch that the other stream's jump ends anyway, so the window's
+    bits and log are those of the original pair through the batch alone.
+    """
+    window = sorted({e for arr in (a1, a2t)
+                     for e in arr.epochs[bisect_left(arr.epochs, t0):bisect_left(arr.epochs, horizon)]})
+
+    def forced(arr):
+        i = bisect_left(arr.epochs, t0)
+        head = [(0.0, arr.rates[i - 1])] if i else []
+        return PiecewiseConstantRate(
+            head + [(e, arr.rates[bisect_right(arr.epochs, e) - 1]) for e in window], horizon)
+
+    return forced(a1), forced(a2t)
+
+
 def check_window(a1, a2t, plan, service, phi, x0, horizon, t0, exact=True):
-    """The same bits with the log and without, and, if `exact`, y and the
-    end state within the rounding bound of the exact reference."""
+    """The same bits from the bare pass, the logged pass and the tie-forced
+    window, the same log from the logged pass and the tie-forced window,
+    and, if `exact`, y and the end state within the rounding bound of the
+    exact reference.  Returns the logged pass."""
     logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
     bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
-    assert fused(bare) == fused(logged) and bare.events == []
+    oracle = simulate(*tie_forced(a1, a2t, t0, horizon), plan, service, phi, x0, horizon, t0=t0)
+    assert fused(bare) == fused(logged) == fused(oracle) and bare.events == []
+    assert log_bits(logged.events) == log_bits(oracle.events)
     if exact:
         assert_close(bare, exact_window(a1, a2t, plan, service, phi, x0, horizon, t0), x0)
-    return bare
+    return logged
 
 
 @pytest.mark.parametrize("zeta", DEFAULT_ZETAS)
@@ -179,11 +217,9 @@ TIE_PINNED = {
 
 @pytest.mark.parametrize("t0", sorted(TIE_PINNED))
 def test_tie_order_and_no_op_boundaries_are_pinned(t0):
-    traj = check_window(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0)
-    assert bits(*traj.y, traj.jac.j11, traj.jac.j21, traj.jac.j22, *traj.x_end) == \
-        TIE_PINNED[t0]
+    logged = check_window(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0)
+    assert fused(logged) == TIE_PINNED[t0]
 
-    logged = simulate(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0=t0)
     at = lambda t: [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == t]
     # Documented batch priority: light switches, queue 1's arrival jump,
     # queue 2's, then staircase steps.
@@ -234,11 +270,11 @@ def test_whole_event_log_is_pinned():
     assert digest.hexdigest() == LOG_DIGEST
 
 
-# Hand-made windows around the unlogged pass's empty-period skip: constant
-# service at 5.0, both cycles 1.0, epochs exact binary fractions.  Each
-# entry is (arrivals1, arrivals2_tilde, (theta1, theta2), phi, x0, t0,
-# checked epoch, the (kind, queue) pairs logged there).  Every window opens
-# with both queues empty, and each checked epoch falls while they still are.
+# Hand-made windows around the empty-period skip: constant service at 5.0,
+# both cycles 1.0, epochs exact binary fractions.  Each entry is
+# (arrivals1, arrivals2_tilde, (theta1, theta2), phi, x0, t0, checked epoch,
+# the (kind, queue) pairs logged there).  Every window opens with both
+# queues empty, and each checked epoch falls while they still are.
 EDGE_SERVICE = ServiceProfile(5.0, 5.0)
 EDGE_WINDOWS = {
     # Skipped jumps at 0.5625 (queue 1) and 0.59375 (queue 2), then one
@@ -310,8 +346,7 @@ def test_empty_period_skip_edges(name):
     a1, a2t, theta, phi, x0, t0, at, pairs = EDGE_WINDOWS[name]
     a1, a2t = PiecewiseConstantRate(a1, 4.0), PiecewiseConstantRate(a2t, 4.0)
     plan = PhasePlan(1.0, 1.0, *theta)
-    check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
-    logged = simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0=t0)
+    logged = check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
     assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs
     # Both queues are empty entering the checked batch.
     assert simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, at, t0=t0).x_end == (0.0, 0.0)
@@ -347,26 +382,23 @@ def random_low_load_window(rng):
 
 
 def test_random_low_load_windows():
-    # The logged pass applies every jump as its own batch, so it is the
-    # oracle for the unlogged pass's skip.
+    # The tie-forced window applies every jump in a general batch, so it is
+    # the oracle for the skip in both passes.
     rng = random.Random(11)
     idle_jumps = 0
     for _ in range(300):
-        a1, a2t, plan, service, phi, x0, horizon, t0 = random_low_load_window(rng)
-        logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
-        bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
-        assert fused(bare) == fused(logged)
+        logged = check_window(*random_low_load_window(rng), exact=False)
         idle_jumps += sum(e.kind == EXO_RATE_JUMP and not (e.busy1_r or e.busy2_r)
                           for e in logged.events)
     assert idle_jumps > 600  # 816 logged jumps into two empty queues
 
 
-# Hand-made windows around the unlogged pass's busy run, one for each
-# reason it hands over to the general batch: constant service at 5.0, both
-# cycles 1.0.  Each entry is (arrivals1, arrivals2_tilde, (theta1, theta2),
-# phi, x0, t0, {checked epoch: the (kind, queue) pairs logged there}).  A
-# queue is busy entering each checked epoch, and most windows also hold lone
-# jumps (one of them a no-op) that the busy run applies before it.
+# Hand-made windows around the busy run, one for each reason it hands over
+# to the general batch: constant service at 5.0, both cycles 1.0.  Each
+# entry is (arrivals1, arrivals2_tilde, (theta1, theta2), phi, x0, t0,
+# {checked epoch: the (kind, queue) pairs logged there}).  A queue is busy
+# entering each checked epoch, and most windows also hold lone jumps (one
+# of them a no-op) that the busy run applies before it.
 DRAIN_T0, DRAIN_X1, DRAIN_JUMP = 0.492309659149863, 1.1741822064030165, 0.8837037279508685
 BUSY_WINDOWS = {
     # Queue 1 drains to zero exactly at 0.75, where its arrivals jump.
@@ -438,8 +470,7 @@ def test_busy_run_hand_over(name):
     a1, a2t, theta, phi, x0, t0, checked = BUSY_WINDOWS[name]
     a1, a2t = PiecewiseConstantRate(a1, 4.0), PiecewiseConstantRate(a2t, 4.0)
     plan = PhasePlan(1.0, 1.0, *theta)
-    check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
-    logged = simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0=t0)
+    logged = check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
     for at, pairs in checked.items():
         assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs, at
         before = [e for e in logged.events if e.epoch < at][-1]
@@ -448,8 +479,8 @@ def test_busy_run_hand_over(name):
 
 def busy_lone_jumps(events):
     """The logged batches that are a single arrival jump while a queue is
-    busy: those the unlogged pass applies in its busy run.  No-op jumps log
-    nothing and are not counted."""
+    busy: those the busy run applies.  No-op jumps log nothing and are not
+    counted."""
     inner = events[1:-1]
     per_epoch = Counter(e.epoch for e in inner)
     return sum(e.kind == EXO_RATE_JUMP and (e.busy1_r or e.busy2_r) and per_epoch[e.epoch] == 1
@@ -458,9 +489,9 @@ def busy_lone_jumps(events):
 
 def test_random_busy_heavy_windows():
     # Reference on/off arrivals with red durations near their cycles and
-    # backlogs at t0, so a queue is busy nearly all the time: the logged
-    # pass, which applies every jump as its own batch, is the oracle for the
-    # unlogged pass's busy run.  Every fifth window is also held to the
+    # backlogs at t0, so a queue is busy nearly all the time: the tie-forced
+    # window, which applies every jump in a general batch, is the oracle for
+    # the busy run in both passes.  Every fifth window is also held to the
     # exact reference.
     cfg = default_paper_config()
     rng = random.Random(13)
@@ -475,8 +506,7 @@ def test_random_busy_heavy_windows():
         phi = rng.choice([0.5, 0.9, 1.0, rng.random()])
         service = EDGE_SERVICE if w % 2 else STAIRS
         args = (a1, a2t, plan, service, phi, x0, t0 + 3.0, t0)
-        check_window(*args, exact=w % 5 == 0)
-        lone += busy_lone_jumps(simulate(*args).events)
+        lone += busy_lone_jumps(check_window(*args, exact=w % 5 == 0).events)
     assert lone > 9000  # 9,821 of the 10,472 batches at this seed
 
 

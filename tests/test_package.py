@@ -5,8 +5,9 @@ tests check it against tests/exact_reference.py, an exact-rational
 simulator that must stay independent of the package.  These checks keep a
 second sensitivity pass, and the surface that only a second pass read, from
 returning to the package.  They also pin the event log's fields, the one
-advance that `simulate`'s general batch and busy run share, and the module
-globals that the benchmark harness replaces to time its cycles.
+advance that `simulate`'s general batch and busy run share, the one loop
+that its logged and unlogged passes share, and the module globals that the
+benchmark harness replaces to time its cycles.
 """
 
 import ast
@@ -69,14 +70,37 @@ def test_event_log_records_only_what_its_readers_read():
     assert simcore.Event._field_defaults == {}
 
 
+def simulate_ast():
+    tree = ast.parse(Path(simcore.__file__).read_text())
+    [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "simulate"]
+    return func
+
+
 def test_simulate_has_one_advance():
     # The busy run is a loop around the one advance, not a second copy of
     # the kernel: each queue's drain appears once in simulate.
-    tree = ast.parse(Path(simcore.__file__).read_text())
-    [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "simulate"]
+    func = simulate_ast()
     drains = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.AugAssign)]
     for drain in ("x1 += s1 * dt", "x2 += s2 * dt"):
         assert drains.count(drain) == 1, drain
+
+
+def test_log_only_guards_appends():
+    # `log` decides whether events are appended and nothing else: every read
+    # of it is the whole test of an `if log:` whose body only appends.  So
+    # both passes run one loop, and its float operations, whatever `log` is.
+    func = simulate_ast()
+    assert "log" in [a.arg for a in func.args.kwonlyargs]
+    guards = [n for n in ast.walk(func)
+              if isinstance(n, ast.If) and isinstance(n.test, ast.Name) and n.test.id == "log"]
+    reads = [n for n in ast.walk(func)
+             if isinstance(n, ast.Name) and n.id == "log" and isinstance(n.ctx, ast.Load)]
+    assert guards and sorted(map(id, reads)) == sorted(id(g.test) for g in guards)
+    for guard in guards:
+        assert not guard.orelse, ast.unparse(guard)
+        for stmt in guard.body:
+            assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) \
+                and ast.unparse(stmt.value.func) == "append_event", ast.unparse(stmt)
 
 
 def test_benchmark_hooks_see_every_call(monkeypatch):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import tandemflow.scenario as scenario
+from tandemflow.cli import DEFAULT_ZETAS
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED
 from tandemflow.scenario import (
+    MAX_STAGES,
     TAIL_START,
     ConfigError,
     ExperimentConfig,
@@ -306,6 +308,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=msg):
             parse_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("kw, i", [
+        ({"c1": 1e300}, 1), ({"num_control_cycles": 2500}, 1),
+        ({"alpha2_off_max": 1e-5, "alpha2_on_max": 1e-5}, 2)],
+        ids=("c1", "num_control_cycles", "alpha2_stages"))
+    def test_horizon_beyond_the_stage_limit_is_named(self, kw, i):
+        # gen_onoff would build about 2e304, 1.02e6 and 1e8 stages per
+        # stream; the config fails first, by its keys, and builds none.
+        msg = (rf"^num_control_cycles \* cycles_per_control \* c1 = .* over \(alpha{i}_off_max "
+               rf"\+ alpha{i}_on_max\) / 2 = .* expects more than MAX_STAGES=1000000 stages")
+        with pytest.raises(ConfigError, match=msg):
+            ExperimentConfig(**kw)
+        with pytest.raises(ConfigError, match=msg):
+            parse_config("".join(f"{k} = {v}\n" for k, v in kw.items()))
+
+    def test_horizon_under_the_stage_limit_is_accepted(self):
+        # The default expects 20,408 stages per stream, 2,400 control cycles
+        # 979,592.
+        assert MAX_STAGES == 10 ** 6
+        assert ExperimentConfig(num_control_cycles=2400).horizon() == 48000.0
+
     def test_arrivals_do_not_depend_on_controller_fields(self):
         cfg = default_paper_config()
         other = dataclasses.replace(cfg, mode=DECENTRALIZED, theta1_init=0.5,
@@ -418,6 +440,25 @@ class TestSweep:
             for rep, records in enumerate(runs):
                 assert len(records) == cfg.num_control_cycles
                 assert bits(records) == bits(run_replication(cell, rep))
+
+    def test_queue_1_does_not_depend_on_the_mode(self):
+        # y1 depends on theta1 alone (j12 = 0), and both modes compute gain
+        # row 1 as (1 / j11, 0) under the same guard.  Light 2's switch
+        # epochs still split queue 1's drain and integrals, so the modes
+        # agree only up to rounding: measured 1.6e-14 on theta1 and 2.1e-14
+        # on g1 absolute, 1.4e-13 on j11 relative.  Queue 2 does differ:
+        # theta2 by up to 0.28.
+        sweep = run_sweep(self.reduced(), DEFAULT_ZETAS)
+        assert [cell.mode for cell, _ in sweep] == [CENTRALIZED, DECENTRALIZED] * len(DEFAULT_ZETAS)
+        theta2_gap = 0.0
+        for (_, cen), (_, dec) in zip(sweep[::2], sweep[1::2]):
+            for c, d in zip((r for run in cen for r in run), (r for run in dec for r in run),
+                            strict=True):
+                assert abs(c.theta[0] - d.theta[0]) <= 1e-11
+                assert abs(c.y[0] - d.y[0]) <= 1e-11
+                assert abs(c.jac.j11 - d.jac.j11) <= 1e-11 * abs(c.jac.j11)
+                theta2_gap = max(theta2_gap, abs(c.theta[1] - d.theta[1]))
+        assert theta2_gap > 0.1
 
     def test_arrivals_are_generated_once_for_both_modes(self, monkeypatch):
         calls = []
