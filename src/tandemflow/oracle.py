@@ -34,8 +34,8 @@ DEFAULT_DET_TOL = 1e-6
 DEFAULT_STOCH_H = 1e-5
 DEFAULT_STOCH_TOL = 1e-3
 
-# An event's (kind, queue) pair, its signature entry, read by position.
-_KIND_QUEUE = itemgetter(1, 2)
+# The event signature: the log's kind and queue columns, markers included.
+_KIND, _QUEUE = itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +82,7 @@ def _window(scn: GradScenario, theta1: float, theta2: float):
     traj = simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
                     scn.phi, scn.x0, scn.horizon, t0=scn.t0)
     g1, g2 = traj.y
-    return g1, g2, list(map(_KIND_QUEUE, traj.events))
+    return g1, g2, (list(map(_KIND, traj.events)), list(map(_QUEUE, traj.events)))
 
 
 def analytic_jacobian(scn: GradScenario) -> JacobianEstimate:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -145,9 +144,9 @@ class Event(NamedTuple):
     its net inflow positive, in trigger_kind / trigger_queue.  All other events
     carry trigger_kind == -1, as does a busy start with no identified trigger.
 
-    An event is an immutable tuple: fields read by name or by position, and
-    `_replace` gives a modified copy.  `simulate` builds each one inline from
-    its local state, with no per-event helper call.
+    The log holds each event as a plain tuple of these values in field
+    order, built inline by `simulate` with no constructor call;
+    `Event._make(e)` names one (`ev.alpha2_r`, `_replace`).
     """
 
     epoch: float
@@ -165,11 +164,6 @@ class Event(NamedTuple):
     alpha2_r: float
     trigger_kind: int
     trigger_queue: int
-
-
-# The C-level tuple constructor: `simulate` passes all 15 fields in one
-# tuple, which skips the generated keyword-aware __new__.
-_new_event = partial(tuple.__new__, Event)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,13 +189,13 @@ class TandemTrajectory:
 
     x_end is the state at the horizon, y the time-averaged contents over the
     window and jac the window's sample-path Jacobian.  When the log is
-    requested, events is the annotated log, bracketed by
-    ControlCycleBoundary markers whose annotations give the state entering
-    and leaving the window; otherwise it is empty.  The state at any batch
-    epoch t is the end state of the same run with horizon t.
+    requested, events is the annotated log of plain tuples in `Event._fields`
+    order, bracketed by ControlCycleBoundary markers whose annotations give
+    the state entering and leaving the window; otherwise it is empty.  The
+    state at any batch epoch t is the end state of the same run with horizon t.
     """
 
-    events: list[Event]
+    events: list[tuple]
     x_end: tuple[float, float]
     y: tuple[float, float]
     jac: JacobianEstimate
@@ -323,8 +317,8 @@ def simulate(
     The window outputs y and jac are computed in the same pass.  `log` only
     decides whether events are appended, so y, jac and the end state are
     the same bits either way.  With log=False the list stays empty, which is
-    all a closed-loop plant needs; with log=True it holds immutable `Event`
-    named tuples, each built inline from one tuple of all 15 fields.
+    all a closed-loop plant needs; with log=True it holds plain tuples, built
+    inline, in `Event._fields` order (`Event._make` names one).
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -356,6 +350,16 @@ def simulate(
     without a filling.  A window whose arrival epochs all tie takes neither
     shortcut: it is the tests' bit oracle for both.
 
+    The loop runs at most 3*N + 4 batches, N being the light-plan entries
+    and arrival epochs in [t0, horizon).  Each batch after the first starts
+    where the advance stopped: on an entry, which it consumes (C <= N such
+    batches), on the horizon, the last batch, or on an emptying of a busy
+    queue.  A batch that only empties fills nothing, as no rate changed and
+    queue 1's emptying lowers its outflow; so each queue has at most 1 + C
+    busy periods (one at t0, one per consuming batch), at most 2 + 2*C
+    batches only empty, and 1 + C + 2 + 2*C + 1 is the bound.  Two queues
+    that drain apart with no entry take all 4.
+
     The streams are slices of the rate processes' lists, with no per-call
     numpy merge, which would cost more than a short window's whole run.
     """
@@ -381,13 +385,12 @@ def simulate(
     busy1 = x1 > 0.0
     busy2 = x2 > 0.0
 
-    events: list[Event] = []
+    events: list[tuple] = []
     append_event = events.append
-    new_event = _new_event
     if log:
         # Opening marker: the state entering the window.
-        append_event(new_event((t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                                green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+        append_event((t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
+                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
 
     # Online window outputs.  Trapezoid sums q1, q2 of the contents, with
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
@@ -453,8 +456,8 @@ def simulate(
                 if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                     trig2k, trig2q = kind, queue
                 if log:
-                    append_event(new_event((t, kind, queue, x1, x2, busy1, busy2, green1, green2,
-                                            a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                    append_event((t, kind, queue, x1, x2, busy1, busy2, green1, green2,
+                                  a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
 
             # Exogenous rate jumps (logged only when the value changes).
             if ha1 == t:  # epochs increase strictly: one jump at most
@@ -467,9 +470,8 @@ def simulate(
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 1
                     if log:
-                        append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1,
-                                                green2, a1, b1, b2,
-                                                phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                        append_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
+                                      a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
             if ha2 == t:
                 new = r2[i2]
                 i2 += 1
@@ -480,9 +482,8 @@ def simulate(
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 2
                     if log:
-                        append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1,
-                                                green2, a1, b1, b2,
-                                                phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                        append_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
+                                      a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
 
             # Service staircase steps, the rest of the light plan at t; only
             # visible while the queue is busy.
@@ -501,18 +502,17 @@ def simulate(
                             if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
                                 trig2k, trig2q = INTERNAL_RATE_JUMP, 1
                             if log:
-                                append_event(new_event((t, INTERNAL_RATE_JUMP, 1, x1, x2, True, busy2,
-                                                        green1, green2, a1, b1, b2, phi * b1 + a2t,
-                                                        -1, 0)))
+                                append_event((t, INTERNAL_RATE_JUMP, 1, x1, x2, True, busy2, green1,
+                                              green2, a1, b1, b2, phi * b1 + a2t, -1, 0))
                 elif new != b2:
                     b2 = new
                     if busy2:
                         hit = True
                         v22 = (cs2 + b2) - bs2
                         if log:
-                            append_event(new_event((t, INTERNAL_RATE_JUMP, 2, x1, x2, busy1, True,
-                                                    green1, green2, a1, b1, b2,
-                                                    phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                            append_event((t, INTERNAL_RATE_JUMP, 2, x1, x2, busy1, True,
+                                          green1, green2, a1, b1, b2,
+                                          phi * (b1 if busy1 else a1) + a2t, -1, 0))
 
         # Emptyings determined by drainage up to t (also logged at the horizon).
         if empt1:
@@ -521,14 +521,14 @@ def simulate(
                 v21 += phi * v11  # queue 1's stored perturbation moves on
             v11 = 0.0
             if log:
-                append_event(new_event((t, EMPTY_START, 1, x1, x2, False, busy2, green1, green2,
-                                        a1, b1, b2, phi * a1 + a2t, -1, 0)))
+                append_event((t, EMPTY_START, 1, x1, x2, False, busy2, green1, green2,
+                              a1, b1, b2, phi * a1 + a2t, -1, 0))
         if empt2:
             busy2 = False
             v22 = v21 = 0.0
             if log:
-                append_event(new_event((t, EMPTY_START, 2, x1, x2, busy1, False, green1, green2,
-                                        a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+                append_event((t, EMPTY_START, 2, x1, x2, busy1, False, green1, green2,
+                              a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
 
         # Fillings, evaluated on the post-batch rates; queue 1 may cascade
         # into queue 2 through its outflow jump.
@@ -539,8 +539,8 @@ def simulate(
                 if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
                     trig2k, trig2q = BUSY_START, 1
                 if log:
-                    append_event(new_event((t, BUSY_START, 1, x1, x2, True, busy2, green1, green2,
-                                            a1, b1, b2, phi * b1 + a2t, -1, 0)))
+                    append_event((t, BUSY_START, 1, x1, x2, True, busy2, green1, green2,
+                                  a1, b1, b2, phi * b1 + a2t, -1, 0))
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
@@ -550,9 +550,9 @@ def simulate(
                 else:
                     v21 = 0.0
                 if log:
-                    append_event(new_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
-                                            a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,
-                                            trig2k, trig2q)))
+                    append_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
+                                  a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,
+                                  trig2k, trig2q))
 
         q1 += 0.5 * (xl1 + x1) * dt
         q2 += 0.5 * (xl2 + x2) * dt
@@ -577,8 +577,8 @@ def simulate(
                     if new != a1:
                         a1, tp = new, t  # tp as the batch would leave it
                         if log:
-                            append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, False, False, green1,
-                                                    green2, a1, b1, b2, phi * a1 + a2t, -1, 0)))
+                            append_event((t, EXO_RATE_JUMP, 1, x1, x2, False, False, green1,
+                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0))
                 elif ha2 < ha1 and ha2 < hp:
                     new = r2[i2]
                     if phi * a1 + new - b2 > 0.0:
@@ -588,8 +588,8 @@ def simulate(
                     if new != a2t:
                         a2t, tp = new, t
                         if log:
-                            append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, False, False, green1,
-                                                    green2, a1, b1, b2, phi * a1 + a2t, -1, 0)))
+                            append_event((t, EXO_RATE_JUMP, 2, x1, x2, False, False, green1,
+                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0))
                 else:
                     break
 
@@ -636,8 +636,8 @@ def simulate(
                         if busy2:
                             s2 = (phi * d1 + a2t) - b2
                     if log:
-                        append_event(new_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
-                                                a1, b1, b2, phi * d1 + a2t, -1, 0)))
+                        append_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
+                                      a1, b1, b2, phi * d1 + a2t, -1, 0))
             else:  # a lone queue-2 jump
                 new = r2[i2]
                 if not busy2 and phi * d1 + new - b2 > 0.0:
@@ -649,8 +649,8 @@ def simulate(
                     if busy2:
                         s2 = (phi * d1 + a2t) - b2
                     if log:
-                        append_event(new_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
-                                                a1, b1, b2, phi * d1 + a2t, -1, 0)))
+                        append_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
+                                      a1, b1, b2, phi * d1 + a2t, -1, 0))
             q1 += 0.5 * (xl1 + x1) * dt
             q2 += 0.5 * (xl2 + x2) * dt
             xl1, xl2 = x1, x2
@@ -670,8 +670,8 @@ def simulate(
         at_end = t == horizon
 
     if log:
-        append_event(new_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                                green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)))
+        append_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
+                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
     w = horizon - t0
     return TandemTrajectory(events, (x1, x2), (q1 / w, q2 / w),
                             JacobianEstimate(r11 / w, r21 / w, r22 / w))

@@ -19,10 +19,14 @@ windows pin the busy run.  Seeded windows restarted at every batch epoch,
 and two hand-made windows that start on a staircase step and on a green
 onset, pin which light-plan entries are in force at t0.  Windows with a
 ramp on one queue only pin that the other queue is served at its beta_max.
+Every checked window also stays within the loop's batch bound, counted by a
+copy of simulate compiled here with a counter at the top of the batch.
 """
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -32,6 +36,7 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import assert_close, assert_jacobian, exact_jacobian, exact_window
+from tandemflow import simcore
 from tandemflow.cli import DEFAULT_ZETAS
 from tandemflow.oracle import (
     DEFAULT_DET_H,
@@ -48,6 +53,7 @@ from tandemflow.simcore import (
     GREEN_START,
     INTERNAL_RATE_JUMP,
     RED_START,
+    Event,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
@@ -67,6 +73,12 @@ def bits(*xs):
 def fused(traj):
     jac = traj.jac
     return bits(*traj.y, jac.j11, jac.j21, jac.j22, *traj.x_end)
+
+
+def named(traj):
+    """The trajectory's logged events as `Event` named tuples, for reads by
+    name; the log itself holds plain tuples in `Event._fields` order."""
+    return list(map(Event._make, traj.events))
 
 
 def log_bits(events):
@@ -97,13 +109,44 @@ def tie_forced(a1, a2t, t0, horizon):
     return forced(a1), forced(a2t)
 
 
+def counting_simulate():
+    """A copy of `simulate` that counts its general batches, and the list
+    whose one item it counts in: compiled from simulate's source with
+    `batches[0] += 1` added at the top of the outer loop, in a copy of the
+    module's globals.  The package itself keeps no counter."""
+    tree = ast.parse(inspect.getsource(simulate))
+    [func] = tree.body
+    [loop] = [n for n in func.body if isinstance(n, ast.While)]
+    loop.body.insert(0, ast.parse("batches[0] += 1").body[0])
+    namespace = dict(vars(simcore), batches=[0])
+    exec(compile(ast.fix_missing_locations(tree), simcore.__file__, "exec"), namespace)
+    return namespace["simulate"], namespace["batches"]
+
+
+COUNTING_SIMULATE, BATCHES = counting_simulate()
+
+
+def count_batches(a1, a2t, plan, service, phi, x0, horizon, t0):
+    """The counting copy's bare pass, its general batches, and the bound
+    3*N + 4 that simulate's docstring states, N being the light-plan entries
+    and arrival epochs in [t0, horizon)."""
+    BATCHES[0] = 0
+    traj = COUNTING_SIMULATE(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
+    n = len(_light_plan(plan, service, t0, horizon)[0]) - 1 + sum(
+        bisect_left(a.epochs, horizon) - bisect_left(a.epochs, t0) for a in (a1, a2t))
+    return traj, BATCHES[0], 3 * n + 4
+
+
 def check_window(a1, a2t, plan, service, phi, x0, horizon, t0, exact=True):
     """The same bits from the bare pass, the logged pass and the tie-forced
     window, the same log from the logged pass and the tie-forced window,
-    and, if `exact`, y and the end state within the rounding bound of the
-    exact reference.  Returns the logged pass."""
+    no more general batches than the loop's bound, and, if `exact`, y and
+    the end state within the rounding bound of the exact reference.
+    Returns the logged pass."""
     logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
     bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
+    counted, batches, bound = count_batches(a1, a2t, plan, service, phi, x0, horizon, t0)
+    assert fused(counted) == fused(bare) and batches <= bound
     oracle = simulate(*tie_forced(a1, a2t, t0, horizon), plan, service, phi, x0, horizon, t0=t0)
     assert fused(bare) == fused(logged) == fused(oracle) and bare.events == []
     assert log_bits(logged.events) == log_bits(oracle.events)
@@ -155,6 +198,19 @@ def test_oracle_battery_windows():
     # holds J to its exact derivative.
     for i, args in enumerate(battery_windows()):
         check_window(*args, exact=i % 5 == 0)
+
+
+def test_batch_bound_is_reached():
+    # No light-plan entry or arrival epoch falls in [0.1, 0.3), so N = 0.
+    # Both queues drain in green from backlogs and empty apart, at about
+    # 0.15 and 0.245: the first batch, two emptyings and the horizon make
+    # 3*0 + 4 batches.
+    args = (constant_rate(0.0, 1.0), constant_rate(0.0, 1.0), PhasePlan(1.0, 1.0, 0.05, 0.05),
+            ServiceProfile(5.0, 5.0), 0.9, (0.25, 0.5), 0.3, 0.1)
+    _, batches, bound = count_batches(*args)
+    assert batches == bound == 4
+    assert [(e.kind, e.queue) for e in named(check_window(*args))[1:-1]] == \
+        [(EMPTY_START, 1), (EMPTY_START, 2)]
 
 
 # Queue 1's staircase steps at 0.1 and 0.25 s into its green, queue 2's at
@@ -220,7 +276,8 @@ def test_tie_order_and_no_op_boundaries_are_pinned(t0):
     logged = check_window(TIE_A1, TIE_A2, TIE_PLAN, TIE_SERVICE, 0.8, (3.0, 2.0), 3.0, t0)
     assert fused(logged) == TIE_PINNED[t0]
 
-    at = lambda t: [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == t]
+    events = named(logged)
+    at = lambda t: [(e.kind, e.queue) for e in events[1:-1] if e.epoch == t]
     # Documented batch priority: light switches, queue 1's arrival jump,
     # queue 2's, then staircase steps.
     assert at(1.5) == [(GREEN_START, 2), (EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2),
@@ -233,7 +290,7 @@ def test_tie_order_and_no_op_boundaries_are_pinned(t0):
                            (EXO_RATE_JUMP, 2)]
     # Arrival epochs at the horizon belong to the next window.
     assert at(3.0) == []
-    assert (logged.events[-1].a1_r, logged.events[-1].alpha2_r) == (0.5, 0.8 * 4.0 + 0.25)
+    assert (events[-1].a1_r, events[-1].alpha2_r) == (0.5, 0.8 * 4.0 + 0.25)
 
 
 # Every field of the log, in Event's field order.  Floats are hashed as
@@ -260,11 +317,14 @@ def log_digest_windows():
 
 
 def test_whole_event_log_is_pinned():
+    # The log holds each event's values in Event's field order, so hashing
+    # them by position reads the fields in EVENT_FIELDS order.
+    assert EVENT_FIELDS == Event._fields
     digest = hashlib.sha256()
     for a1, a2t, plan, service, phi, x0, horizon, t0 in log_digest_windows():
         for ev in simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0).events:
             digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
-                                   for v in (getattr(ev, f) for f in EVENT_FIELDS)).encode())
+                                   for v in ev).encode())
             digest.update(b"\n")
         digest.update(b"--\n")
     assert digest.hexdigest() == LOG_DIGEST
@@ -347,10 +407,11 @@ def test_empty_period_skip_edges(name):
     a1, a2t = PiecewiseConstantRate(a1, 4.0), PiecewiseConstantRate(a2t, 4.0)
     plan = PhasePlan(1.0, 1.0, *theta)
     logged = check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
-    assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs
+    events = named(logged)
+    assert [(e.kind, e.queue) for e in events[1:-1] if e.epoch == at] == pairs
     # Both queues are empty entering the checked batch.
     assert simulate(a1, a2t, plan, EDGE_SERVICE, phi, x0, at, t0=t0).x_end == (0.0, 0.0)
-    assert not any(e.busy1_r or e.busy2_r for e in logged.events if e.epoch < at)
+    assert not any(e.busy1_r or e.busy2_r for e in events if e.epoch < at)
     if name == "negative-zero contents":
         assert bits(*logged.x_end, *logged.y) == bits(-0.0, -0.0, 0.0, 0.0)
 
@@ -389,7 +450,7 @@ def test_random_low_load_windows():
     for _ in range(300):
         logged = check_window(*random_low_load_window(rng), exact=False)
         idle_jumps += sum(e.kind == EXO_RATE_JUMP and not (e.busy1_r or e.busy2_r)
-                          for e in logged.events)
+                          for e in named(logged))
     assert idle_jumps > 600  # 816 logged jumps into two empty queues
 
 
@@ -472,8 +533,9 @@ def test_busy_run_hand_over(name):
     plan = PhasePlan(1.0, 1.0, *theta)
     logged = check_window(a1, a2t, plan, EDGE_SERVICE, phi, x0, 2.0, t0)
     for at, pairs in checked.items():
-        assert [(e.kind, e.queue) for e in logged.events[1:-1] if e.epoch == at] == pairs, at
-        before = [e for e in logged.events if e.epoch < at][-1]
+        events = named(logged)
+        assert [(e.kind, e.queue) for e in events[1:-1] if e.epoch == at] == pairs, at
+        before = [e for e in events if e.epoch < at][-1]
         assert before.busy1_r or before.busy2_r, at
 
 
@@ -506,7 +568,7 @@ def test_random_busy_heavy_windows():
         phi = rng.choice([0.5, 0.9, 1.0, rng.random()])
         service = EDGE_SERVICE if w % 2 else STAIRS
         args = (a1, a2t, plan, service, phi, x0, t0 + 3.0, t0)
-        lone += busy_lone_jumps(check_window(*args, exact=w % 5 == 0).events)
+        lone += busy_lone_jumps(named(check_window(*args, exact=w % 5 == 0)))
     assert lone > 9000  # 9,821 of the 10,472 batches at this seed
 
 
@@ -525,9 +587,10 @@ def restart_faults(a1, a2t, plan, service, phi, x0, horizon, t0):
     and those where a switch logged at the restart epoch re-applies the
     phase that the opening marker shows."""
     whole = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
-    sig = [(e.epoch, e.kind, e.queue) for e in whole.events[1:-1]]
+    events = named(whole)
+    sig = [(e.epoch, e.kind, e.queue) for e in events[1:-1]]
     ends, logs, repeats = [], [], []
-    epochs = {e.epoch for e in whole.events} | set(a1.epochs) | set(a2t.epochs)
+    epochs = {e.epoch for e in events} | set(a1.epochs) | set(a2t.epochs)
     epochs.update(e for e, _, _ in _light_plan(plan, service, t0, horizon)[0])
     restarts = sorted(e for e in epochs if t0 < e < horizon)
     for t in restarts:
@@ -535,13 +598,13 @@ def restart_faults(a1, a2t, plan, service, phi, x0, horizon, t0):
         part = simulate(a1, a2t, plan, service, phi, x, horizon, t0=t)
         if bits(*part.x_end) != bits(*whole.x_end):
             ends.append(t)
-        if [(e.epoch, e.kind, e.queue) for e in part.events[1:-1] if e.epoch > t] != \
+        opening, *inner, _ = named(part)
+        if [(e.epoch, e.kind, e.queue) for e in inner if e.epoch > t] != \
                 [s for s in sig if s[0] > t]:
             logs.append(t)
-        opening = part.events[0]
         if any(e.epoch == t and e.kind in (RED_START, GREEN_START)
                and (e.kind == GREEN_START) == (opening.green1_r, opening.green2_r)[e.queue - 1]
-               for e in part.events[1:-1]):
+               for e in inner):
             repeats.append(t)
     return len(restarts), (ends, logs, repeats)
 
@@ -579,7 +642,8 @@ def test_staircase_step_at_t0_is_in_force():
     whole = simulate(a1, a2t, plan, STAIRS, 0.9, (2.0, 0.5), 2.0)
     head = simulate(a1, a2t, plan, STAIRS, 0.9, (2.0, 0.5), t0)
     tail = simulate(a1, a2t, plan, STAIRS, 0.9, head.x_end, 2.0, t0=t0)
-    assert (tail.events[0].green1_r, tail.events[0].b1_r) == (True, 5.0)
+    opening = Event._make(tail.events[0])
+    assert (opening.green1_r, opening.b1_r) == (True, 5.0)
     assert bits(*tail.x_end) == bits(*whole.x_end)
 
 
@@ -592,8 +656,9 @@ def test_green_onset_at_t0_applies_once():
     assert 3.0 + 0.1 == 3.1 and 3.1 - 3.0 > 0.1
     traj = simulate(constant_rate(1.0, 4.0), constant_rate(0.41, 4.0), plan,
                     ServiceProfile(3.0, 3.0), 0.9, (1.0, 0.0), 3.64, t0=3.1)
-    assert (traj.events[0].green1_r, traj.events[0].b1_r) == (False, 0.0)
-    assert [e.kind for e in traj.events if e.queue == 1 and e.epoch == 3.1] == [GREEN_START]
+    events = named(traj)
+    assert (events[0].green1_r, events[0].b1_r) == (False, 0.0)
+    assert [e.kind for e in events if e.queue == 1 and e.epoch == 3.1] == [GREEN_START]
     assert traj.jac.j11 == 2.7777777777777777
 
 

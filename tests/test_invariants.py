@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from exact_reference import assert_close, assert_jacobian, exact_jacobian, exact_window
+from test_fused_window import named
 from tandemflow.regulator import CENTRALIZED, DECENTRALIZED, IDENTITY, \
     GuardConfig, invert_gain
 from tandemflow.scenario import ExperimentConfig, OnOffSpec, gen_onoff, \
@@ -65,7 +66,7 @@ def scenario_runs():
 class TestTrajectoryProperties:
     def test_queue_contents_never_go_negative(self, scenario_runs):
         for traj, *_ in scenario_runs:
-            for ev in traj.events:
+            for ev in named(traj):
                 assert ev.x1 >= 0.0
                 assert ev.x2 >= 0.0
             assert min(traj.x_end) >= 0.0
@@ -77,20 +78,21 @@ class TestTrajectoryProperties:
     def test_conservation_against_the_event_log(self, scenario_runs):
         for traj, *_ in scenario_runs:
             net1 = net2 = 0.0
-            for prev, nxt in zip(traj.events, traj.events[1:]):
+            events = named(traj)
+            for prev, nxt in zip(events, events[1:]):
                 dt = nxt.epoch - prev.epoch
                 out1 = prev.b1_r if prev.busy1_r else prev.a1_r
                 out2 = prev.b2_r if prev.busy2_r else prev.alpha2_r
                 net1 += (prev.a1_r - out1) * dt
                 net2 += (prev.alpha2_r - out2) * dt
-            x1a, x2a = traj.events[0].x1, traj.events[0].x2
+            x1a, x2a = events[0].x1, events[0].x2
             x1b, x2b = traj.x_end
             assert x1b - x1a == pytest.approx(net1, abs=1e-9)
             assert x2b - x2a == pytest.approx(net2, abs=1e-9)
 
     def test_service_is_zero_in_red_and_full_in_green(self, scenario_runs):
         for traj, inputs, beta, _ in scenario_runs:
-            for ev in traj.events:
+            for ev in named(traj):
                 assert ev.b1_r == (beta if ev.green1_r else 0.0)
                 assert ev.b2_r == (beta if ev.green2_r else 0.0)
 
@@ -103,7 +105,8 @@ class TestTrajectoryProperties:
     def test_event_epoch_splits_are_bit_identical(self, scenario_runs):
         for traj, inputs, _, salt in scenario_runs[::5]:
             arr1, arr2, plan, service, phi, x0, horizon = inputs
-            interior = [ev.epoch for ev in traj.events
+            events = named(traj)
+            interior = [ev.epoch for ev in events
                         if 0.0 < ev.epoch < horizon]
             if not interior:
                 continue
@@ -111,13 +114,13 @@ class TestTrajectoryProperties:
             head = simulate(arr1, arr2, plan, service, phi, x0, m)
             tail = simulate(arr1, arr2, plan, service, phi,
                             head.x_end, horizon, t0=m)
-            at_m = next(ev for ev in traj.events if ev.epoch == m)
+            at_m = next(ev for ev in events if ev.epoch == m)
             assert head.x_end == (at_m.x1, at_m.x2)
             assert tail.x_end == traj.x_end
-            assert [ev for ev in head.events[1:-1] if ev.epoch < m] == \
-                [ev for ev in traj.events[1:-1] if ev.epoch < m]
-            assert [ev for ev in tail.events[1:-1] if ev.epoch > m] == \
-                [ev for ev in traj.events[1:-1] if ev.epoch > m]
+            assert [ev for ev in named(head)[1:-1] if ev.epoch < m] == \
+                [ev for ev in events[1:-1] if ev.epoch < m]
+            assert [ev for ev in named(tail)[1:-1] if ev.epoch > m] == \
+                [ev for ev in events[1:-1] if ev.epoch > m]
 
 
 class TestAccumulatorProperties:

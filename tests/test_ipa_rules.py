@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import assert_jacobian, exact_jacobian
+from test_fused_window import named
 from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
@@ -50,7 +51,8 @@ def value_at(args, t, entry):
 def midpoints(traj):
     """A time strictly between each pair of consecutive event epochs, with
     the event just before it."""
-    return [((ev.epoch + nxt.epoch) / 2.0, ev) for ev, nxt in zip(traj.events, traj.events[1:])
+    events = named(traj)
+    return [((ev.epoch + nxt.epoch) / 2.0, ev) for ev, nxt in zip(events, events[1:])
             if ev.epoch < nxt.epoch]
 
 
@@ -111,7 +113,7 @@ class TestDiagonalRules:
         # entering the window, and closes with one at the horizon.
         for args in FOUR_WINDOWS:
             traj = simulate(*args)
-            first, last = traj.events[0], traj.events[-1]
+            first, *_, last = named(traj)
             assert (first.kind, first.epoch, first.x1, first.x2) == \
                 (CONTROL_CYCLE_BOUNDARY, 0.0, *args[5])
             assert (last.kind, last.epoch, (last.x1, last.x2)) == \
@@ -120,7 +122,7 @@ class TestDiagonalRules:
     def test_rejects_time_reversal(self):
         # The log never goes back in time.
         for args in FOUR_WINDOWS:
-            epochs = [ev.epoch for ev in simulate(*args).events]
+            epochs = [ev.epoch for ev in named(simulate(*args))]
             assert epochs == sorted(epochs)
 
 
@@ -140,14 +142,14 @@ class TestCrossRules:
         for t, ev in midpoints(traj):
             if ev.epoch <= 0.5:
                 assert value_at(args, t, "21") == (-5 * Fraction(0.9) if ev.epoch == 0.5 else 0), t
-        assert [(ev.kind, ev.queue) for ev in traj.events if ev.epoch == 0.5] == \
+        assert [(ev.kind, ev.queue) for ev in named(traj) if ev.epoch == 0.5] == \
             [(GREEN_START, 1)]
 
     def test_exogenous_busy_start_carries_no_shift(self):
         # Queue 2 filling triggered by an arrival-rate jump, not by beta_1.
         args = window(0.5, 0.2, 3.0, 4.5, phi=0.9)
         traj = simulate(*args)
-        bs2 = [ev for ev in traj.events if ev.kind == BUSY_START and ev.queue == 2]
+        bs2 = [ev for ev in named(traj) if ev.kind == BUSY_START and ev.queue == 2]
         assert bs2 and bs2[0].trigger_kind == EXO_RATE_JUMP
         t = next(t for t, ev in midpoints(traj) if ev.epoch == bs2[0].epoch)
         assert value_at(args, t, "21") == 0
@@ -157,7 +159,7 @@ class TestCrossRules:
         # theta2 = theta1, a smaller theta1 would back queue 2 up.)
         args = window(0.4, 0.35, 2.0, 0.0)
         traj = simulate(*args)
-        assert not any(ev.busy2_r for ev in traj.events)
+        assert not any(ev.busy2_r for ev in named(traj))
         assert traj.jac.j21 == 0.0
         for t, _ in midpoints(traj):
             assert value_at(args, t, "21") == 0
@@ -167,7 +169,7 @@ class TestCrossRules:
         # triggers queue 2's busy start, and simulate never records it as
         # a trigger.
         for args in FOUR_WINDOWS + [window(0.5, 0.2, 3.0, 4.5, phi=0.9)]:
-            for ev in simulate(*args).events:
+            for ev in named(simulate(*args)):
                 if ev.kind == BUSY_START and ev.queue == 2:
                     assert ev.trigger_kind != EMPTY_START
 

@@ -89,6 +89,8 @@ def test_log_only_guards_appends():
     # `log` decides whether events are appended and nothing else: every read
     # of it is the whole test of an `if log:` whose body only appends.  So
     # both passes run one loop, and its float operations, whatever `log` is.
+    # Each append passes one plain tuple literal with a value for every
+    # field of Event: no constructor checks the count at run time.
     func = simulate_ast()
     assert "log" in [a.arg for a in func.args.kwonlyargs]
     guards = [n for n in ast.walk(func)
@@ -101,6 +103,9 @@ def test_log_only_guards_appends():
         for stmt in guard.body:
             assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) \
                 and ast.unparse(stmt.value.func) == "append_event", ast.unparse(stmt)
+            [record] = stmt.value.args
+            assert not stmt.value.keywords and isinstance(record, ast.Tuple) \
+                and len(record.elts) == len(simcore.Event._fields), ast.unparse(stmt)
 
 
 def test_benchmark_hooks_see_every_call(monkeypatch):

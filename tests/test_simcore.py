@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from exact_reference import assert_close, exact_window
-from test_fused_window import bits
+from test_fused_window import bits, named
 from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
     EMPTY_START,
     GREEN_START,
     RED_START,
+    Event,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
@@ -61,7 +62,7 @@ def sim_backed_up(horizon=1.0, x0=(0.0, 0.0), t0=0.0):
 
 
 def events_of(traj, kind, queue=None):
-    return [ev for ev in traj.events
+    return [ev for ev in named(traj)
             if ev.kind == kind and (queue is None or ev.queue == queue)]
 
 
@@ -72,7 +73,7 @@ class TestRatePieces:
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
         for t0, rate in ((0.0, 1.0), (1.999999, 1.0), (2.0, 3.0)):
             traj = simulate(r, r, plan, CONST5, 1.0, (0.0, 0.0), 4.0, t0=t0)
-            assert [ev.a1_r for ev in traj.events if ev.epoch == t0][-1] == rate
+            assert [ev.a1_r for ev in named(traj) if ev.epoch == t0][-1] == rate
 
     def test_rejects_bad_segments(self):
         with pytest.raises(ValueError):
@@ -187,7 +188,7 @@ class TestSingleCycleTraces:
 
     def test_downstream_never_backs_up(self):
         traj = sim_pass_through()
-        assert all(ev.x2 == 0.0 for ev in traj.events)
+        assert all(ev.x2 == 0.0 for ev in named(traj))
         assert not events_of(traj, BUSY_START, queue=2)
 
     def test_averages_single_cycle(self):
@@ -222,9 +223,9 @@ class TestDegenerateInputs:
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
         traj = simulate(constant_rate(0.0, 2.0), constant_rate(0.0, 2.0),
                         plan, CONST5, 1.0, (0.0, 0.0), 2.0)
-        kinds = {ev.kind for ev in traj.events}
+        kinds = {ev.kind for ev in named(traj)}
         assert kinds == {RED_START, GREEN_START, CONTROL_CYCLE_BOUNDARY}
-        assert all(ev.x1 == 0.0 and ev.x2 == 0.0 for ev in traj.events)
+        assert all(ev.x1 == 0.0 and ev.x2 == 0.0 for ev in named(traj))
 
     def test_drain_only_from_initial_content(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
@@ -294,8 +295,9 @@ class TestRedWithinRoundingOfCycle:
         # A dropped green's red merges into the one before it, so no red
         # start splits the IPA integrals or the oracle's signature.
         traj = self.sim((2.0, 0.5), 8.0, t0)
-        green = [traj.events[0].green1_r, traj.events[0].green2_r]
-        for ev in traj.events[1:-1]:
+        opening, *inner, _ = named(traj)
+        green = [opening.green1_r, opening.green2_r]
+        for ev in inner:
             if ev.kind in (RED_START, GREEN_START):
                 assert (ev.kind == GREEN_START) != green[ev.queue - 1], ev
                 green[ev.queue - 1] = ev.kind == GREEN_START
@@ -305,7 +307,7 @@ class TestRedWithinRoundingOfCycle:
     def test_queue_1_fills_instead_of_draining(self):
         traj = self.sim((2.0, 0.0), 8.0)
         assert traj.x_end[0] == pytest.approx(10.0) and traj.x_end[1] == 0.0
-        assert not any(ev.green1_r for ev in traj.events if ev.epoch >= 1.0)
+        assert not any(ev.green1_r for ev in named(traj) if ev.epoch >= 1.0)
 
     def test_split_window_gives_the_same_end_state(self):
         whole = self.sim((2.0, 0.0), 8.0)
@@ -313,7 +315,8 @@ class TestRedWithinRoundingOfCycle:
         tail = self.sim(head.x_end, 8.0, t0=4.0)
         assert tail.x_end == whole.x_end
         # The empty green before t0 leaves the light red entering the window.
-        assert not tail.events[0].green1_r and tail.events[0].b1_r == 0.0
+        opening = Event._make(tail.events[0])
+        assert not opening.green1_r and opening.b1_r == 0.0
 
 
 class TestExactness:
@@ -331,18 +334,18 @@ class TestExactness:
         # Resume from each interior event epoch: the head must end in, and
         # the tail must reproduce, the full run's logged states bit for bit,
         # because the full run also re-anchors state at every event.
-        interior = sorted({ev.epoch for ev in full.events
+        interior = sorted({ev.epoch for ev in named(full)
                            if 0.0 < ev.epoch < 3.0})
         assert interior
         for m in interior:
             head = simulate(arr1, arr2, plan, CONST5, 0.9, (0.0, 0.0), m)
             tail = simulate(arr1, arr2, plan, CONST5, 0.9,
                             head.x_end, 3.0, t0=m)
-            at_m = next(ev for ev in full.events if ev.epoch == m)
+            at_m = next(ev for ev in named(full) if ev.epoch == m)
             assert bits(*head.x_end) == bits(at_m.x1, at_m.x2)
             assert bits(*tail.x_end) == bits(*full.x_end)
-            assert [bits(ev.epoch, ev.x1, ev.x2) for ev in tail.events if ev.epoch > m] == \
-                [bits(ev.epoch, ev.x1, ev.x2) for ev in full.events if ev.epoch > m]
+            assert [bits(ev.epoch, ev.x1, ev.x2) for ev in named(tail) if ev.epoch > m] == \
+                [bits(ev.epoch, ev.x1, ev.x2) for ev in named(full) if ev.epoch > m]
 
     def test_split_anywhere_matches_closely(self):
         plan = PhasePlan(1.0, 1.0, 0.4, 0.6)
@@ -362,7 +365,7 @@ class TestExactness:
     def test_state_at_breakpoints_is_exact(self):
         # The state at each logged epoch is where a run with that horizon
         # ends, bit for bit, and lies within rounding of the exact state.
-        for ev in sim_backed_up().events:
+        for ev in named(sim_backed_up()):
             if ev.epoch > 0.0:
                 head = sim_backed_up(ev.epoch)
                 assert bits(*head.x_end) == bits(ev.x1, ev.x2)
@@ -378,7 +381,7 @@ class TestExactness:
 
     def test_conservation_from_event_log(self):
         traj = sim_backed_up()
-        evs = traj.events
+        evs = named(traj)
         net1 = net2 = 0.0
         for prev, nxt in zip(evs, evs[1:]):
             dt = nxt.epoch - prev.epoch
@@ -398,13 +401,14 @@ class TestMidstreamWindows:
         arr = constant_rate(2.0, 4.0)
         side = constant_rate(0.0, 4.0)
         traj = simulate(arr, side, plan, CONST5, 1.0, (0.5, 0.2), 4.0, t0=1.7)
-        assert traj.events[0].kind == CONTROL_CYCLE_BOUNDARY
-        assert traj.events[0].epoch == 1.7
-        assert traj.events[-1].kind == CONTROL_CYCLE_BOUNDARY
-        assert traj.events[-1].epoch == 4.0
+        first, *_, last = named(traj)
+        assert first.kind == CONTROL_CYCLE_BOUNDARY
+        assert first.epoch == 1.7
+        assert last.kind == CONTROL_CYCLE_BOUNDARY
+        assert last.epoch == 4.0
         # Pre-window phase: 1.7 falls inside cycle 1's green for light 1.
-        assert traj.events[0].green1_r
-        assert not traj.events[0].green2_r or plan.theta2 < 0.7
+        assert first.green1_r
+        assert not first.green2_r or plan.theta2 < 0.7
 
     def test_ramp_service_steps_mid_green(self):
         stair = PiecewiseConstantRate([(0.0, 1.0), (0.2, 5.0)], 1.0)
