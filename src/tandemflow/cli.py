@@ -139,7 +139,8 @@ def cmd_check_grad(out: str | None) -> int:
 
 def _parse_zetas(text: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        # + 0.0 turns -0.0 into 0.0, one zeta with one tag.
+        vals = [float(tok) + 0.0 for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --zeta-list: {exc}") from None
     if not vals:

@@ -15,12 +15,12 @@ compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .scenario import OnOffSpec, gen_onoff
 from .simcore import (
+    SIGNATURE,
     JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
@@ -33,10 +33,6 @@ DEFAULT_DET_H = 1e-3
 DEFAULT_DET_TOL = 1e-6
 DEFAULT_STOCH_H = 1e-5
 DEFAULT_STOCH_TOL = 1e-3
-
-# The event signature: the log's kind and queue columns, markers included.
-_KIND, _QUEUE = itemgetter(1), itemgetter(2)
-
 
 @dataclass(frozen=True, slots=True)
 class GradScenario:
@@ -79,14 +75,17 @@ class GradCheckReport:
 
 def _window(scn: GradScenario, theta1: float, theta2: float):
     plan = PhasePlan(scn.plan.c1, scn.plan.c2, theta1, theta2)
+    # The event signature: one code 4 * kind + queue per event, markers
+    # included; two runs' codes are equal exactly when their (kind, queue)
+    # pairs are, and no event tuple is built.
     traj = simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
-                    scn.phi, scn.x0, scn.horizon, t0=scn.t0)
+                    scn.phi, scn.x0, scn.horizon, t0=scn.t0, log=SIGNATURE)
     g1, g2 = traj.y
-    return g1, g2, (list(map(_KIND, traj.events)), list(map(_QUEUE, traj.events)))
+    return g1, g2, traj.events
 
 
 def analytic_jacobian(scn: GradScenario) -> JacobianEstimate:
-    # Only the perturbed runs need the event log, for their signatures.
+    # Only the perturbed runs need a log, for their signatures.
     return simulate(scn.arrivals1, scn.arrivals2_tilde, scn.plan, scn.service,
                     scn.phi, scn.x0, scn.horizon, t0=scn.t0, log=False).jac
 

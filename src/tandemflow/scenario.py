@@ -64,7 +64,7 @@ class OnOffSpec:
                 raise ValueError(f"{nm} must be positive, got {v!r}")
 
 
-# Stages drawn per generator call; any size gives the same realization.
+# The most stages drawn per generator call; any size gives the same realization.
 _BLOCK = 1024
 
 # The cap on a config's expected stages per arrival stream, horizon / mean stage.
@@ -76,24 +76,27 @@ def gen_onoff(spec: OnOffSpec, seed: int, horizon: float, stream: int = 0) -> Pi
 
     Pure function of (spec, seed, stream): the Philox key is [seed, stream]
     and draws follow the fixed per-stage order documented in the module
-    docstring, drawn in blocks of stages.  A stage is kept when its duration
-    is positive and it starts before the horizon, so zero-length stages (a
-    uniform draw of exactly 0.0) are skipped without consuming extra draws.
+    docstring, drawn in blocks of stages: of _BLOCK, or of 16 more than the
+    horizon expects (horizon over the mean stage, as MAX_STAGES counts them)
+    if that is fewer.  A stage is kept when its duration is positive and it
+    starts before the horizon, so zero-length stages (a uniform draw of
+    exactly 0.0) are skipped without consuming extra draws.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    n = int(min(_BLOCK, horizon / ((spec.off_max + spec.on_max) / 2.0) + 16))
     blocks, end = [], 0.0
     while end < horizon:
-        u = gen.random((_BLOCK, 3))
+        u = gen.random((n, 3))
         # [stage, off/on, epoch/rate]; the rate slots hold the durations first.
-        seg = np.empty((_BLOCK, 2, 2))
+        seg = np.empty((n, 2, 2))
         dur = np.multiply(u[:, :2], (spec.off_max, spec.on_max), out=seg[:, :, 1])
         # Heading the sum with the previous block's exact end keeps the epochs
         # one sequential left fold, bit for bit the per-stage `t += duration`.
         run = np.add.accumulate(np.concatenate(([end], dur.ravel())))
         end = run[-1]
-        seg[:, :, 0] = run[:-1].reshape(_BLOCK, 2)
+        seg[:, :, 0] = run[:-1].reshape(n, 2)
         keep = (dur > 0.0) & (seg[:, :, 0] < horizon)
         seg[:, 0, 1] = 0.0
         seg[:, 1, 1] = spec.mean_rate * (1.0 + spec.zeta * (2.0 * u[:, 2] - 1.0))
@@ -357,7 +360,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise prefix the first key.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())
 
 

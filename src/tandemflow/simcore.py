@@ -12,9 +12,9 @@ outputs online: the time-averaged contents y by exact trapezoid sums, and the
 sample-path Jacobian J by diagonal and cross sensitivity rules applied at
 each event.  This is the package's only sensitivity pass.  On request it also
 returns the event log, each event annotated with the state just after it,
-which the finite-difference audit reads for its event signatures.  The
-tests check y, the end state and J against an independent simulator in
-exact rational arithmetic (`tests/exact_reference.py`).
+or only each event's signature code, which the finite-difference audit
+compares.  The tests check y, the end state and J against an independent
+simulator in exact rational arithmetic (`tests/exact_reference.py`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,15 @@ INTERNAL_RATE_JUMP = 3
 BUSY_START = 4
 EMPTY_START = 5
 CONTROL_CYCLE_BOUNDARY = 6
+
+# The signature log (log=SIGNATURE) holds each event as the small int
+# 4 * kind + queue, which CPython caches: one code per (kind, queue) pair.
+SIGNATURE = "signature"
+MARK = 4 * CONTROL_CYCLE_BOUNDARY
+EXO1, EXO2 = 4 * EXO_RATE_JUMP + 1, 4 * EXO_RATE_JUMP + 2
+INT1, INT2 = 4 * INTERNAL_RATE_JUMP + 1, 4 * INTERNAL_RATE_JUMP + 2
+BUSY1, BUSY2 = 4 * BUSY_START + 1, 4 * BUSY_START + 2
+EMPTY1, EMPTY2 = 4 * EMPTY_START + 1, 4 * EMPTY_START + 2
 
 @dataclass(frozen=True, slots=True)
 class PhasePlan:
@@ -188,14 +197,15 @@ class TandemTrajectory:
     """The outputs of one simulated window [t0, horizon).
 
     x_end is the state at the horizon, y the time-averaged contents over the
-    window and jac the window's sample-path Jacobian.  When the log is
-    requested, events is the annotated log of plain tuples in `Event._fields`
-    order, bracketed by ControlCycleBoundary markers whose annotations give
-    the state entering and leaving the window; otherwise it is empty.  The
+    window and jac the window's sample-path Jacobian.  Under log=True, events
+    is the annotated log of plain tuples in `Event._fields` order, bracketed
+    by ControlCycleBoundary markers whose annotations give the state entering
+    and leaving the window; under log=SIGNATURE it holds each of those
+    events' code 4 * kind + queue instead; under log=False it is empty.  The
     state at any batch epoch t is the end state of the same run with horizon t.
     """
 
-    events: list[tuple]
+    events: list
     x_end: tuple[float, float]
     y: tuple[float, float]
     jac: JacobianEstimate
@@ -298,7 +308,7 @@ def simulate(
     horizon: float,
     t0: float = 0.0,
     *,
-    log: bool = True,
+    log: bool | str = True,
 ) -> TandemTrajectory:
     """Run the tandem system exactly over the window [t0, horizon).
 
@@ -315,10 +325,14 @@ def simulate(
     after the restart epoch.
 
     The window outputs y and jac are computed in the same pass.  `log` only
-    decides whether events are appended, so y, jac and the end state are
-    the same bits either way.  With log=False the list stays empty, which is
-    all a closed-loop plant needs; with log=True it holds plain tuples, built
-    inline, in `Event._fields` order (`Event._make` names one).
+    decides whether events are appended, and in which form, so y, jac and
+    the end state are the same bits in all three modes.  With log=False the
+    list stays empty, which is all a closed-loop plant needs; with log=True
+    it holds plain tuples, built inline, in `Event._fields` order
+    (`Event._make` names one); with log=SIGNATURE it holds one small int per
+    event, 4 * kind + queue, markers included, and builds no tuple.  The
+    code is injective, so two signature logs are equal exactly when their
+    lists of (kind, queue) pairs are.
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -368,6 +382,9 @@ def simulate(
             raise ValueError(f"{name} ends at {arr.horizon!r}, before the simulation horizon {horizon!r}")
     if not (0.0 <= phi <= 1.0):
         raise ValueError(f"phi must lie in [0, 1], got {phi!r}")
+    if log not in (False, True, SIGNATURE):
+        raise ValueError(f"log must be False, True or {SIGNATURE!r}, got {log!r}")
+    full = log != SIGNATURE
     x1, x2 = float(x0[0]), float(x0[1])
     for i, x in ((1, x1), (2, x2)):
         if not 0.0 <= x < INF:
@@ -385,12 +402,12 @@ def simulate(
     busy1 = x1 > 0.0
     busy2 = x2 > 0.0
 
-    events: list[tuple] = []
+    events: list = []
     append_event = events.append
     if log:
         # Opening marker: the state entering the window.
         append_event((t0, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else MARK)
 
     # Online window outputs.  Trapezoid sums q1, q2 of the contents, with
     # xl1, xl2 the state at the previous batch.  IPA values v11 = dx1/dtheta1,
@@ -457,7 +474,8 @@ def simulate(
                     trig2k, trig2q = kind, queue
                 if log:
                     append_event((t, kind, queue, x1, x2, busy1, busy2, green1, green2,
-                                  a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                                  a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0)
+                                 if full else 4 * kind + queue)
 
             # Exogenous rate jumps (logged only when the value changes).
             if ha1 == t:  # epochs increase strictly: one jump at most
@@ -470,8 +488,8 @@ def simulate(
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 1
                     if log:
-                        append_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
-                                      a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                        append_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2, a1,
+                                      b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else EXO1)
             if ha2 == t:
                 new = r2[i2]
                 i2 += 1
@@ -482,8 +500,8 @@ def simulate(
                     if not busy2 and trig2k < 0 and phi * (b1 if busy1 else a1) + a2t - b2 > 0.0:
                         trig2k, trig2q = EXO_RATE_JUMP, 2
                     if log:
-                        append_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
-                                      a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                        append_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2, a1,
+                                      b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else EXO2)
 
             # Service staircase steps, the rest of the light plan at t; only
             # visible while the queue is busy.
@@ -503,7 +521,7 @@ def simulate(
                                 trig2k, trig2q = INTERNAL_RATE_JUMP, 1
                             if log:
                                 append_event((t, INTERNAL_RATE_JUMP, 1, x1, x2, True, busy2, green1,
-                                              green2, a1, b1, b2, phi * b1 + a2t, -1, 0))
+                                              green2, a1, b1, b2, phi * b1 + a2t, -1, 0) if full else INT1)
                 elif new != b2:
                     b2 = new
                     if busy2:
@@ -512,7 +530,7 @@ def simulate(
                         if log:
                             append_event((t, INTERNAL_RATE_JUMP, 2, x1, x2, busy1, True,
                                           green1, green2, a1, b1, b2,
-                                          phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                                          phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else INT2)
 
         # Emptyings determined by drainage up to t (also logged at the horizon).
         if empt1:
@@ -522,13 +540,13 @@ def simulate(
             v11 = 0.0
             if log:
                 append_event((t, EMPTY_START, 1, x1, x2, False, busy2, green1, green2,
-                              a1, b1, b2, phi * a1 + a2t, -1, 0))
+                              a1, b1, b2, phi * a1 + a2t, -1, 0) if full else EMPTY1)
         if empt2:
             busy2 = False
             v22 = v21 = 0.0
             if log:
                 append_event((t, EMPTY_START, 2, x1, x2, busy1, False, green1, green2,
-                              a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                              a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else EMPTY2)
 
         # Fillings, evaluated on the post-batch rates; queue 1 may cascade
         # into queue 2 through its outflow jump.
@@ -540,7 +558,7 @@ def simulate(
                     trig2k, trig2q = BUSY_START, 1
                 if log:
                     append_event((t, BUSY_START, 1, x1, x2, True, busy2, green1, green2,
-                                  a1, b1, b2, phi * b1 + a2t, -1, 0))
+                                  a1, b1, b2, phi * b1 + a2t, -1, 0) if full else BUSY1)
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
@@ -552,7 +570,7 @@ def simulate(
                 if log:
                     append_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
                                   a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,
-                                  trig2k, trig2q))
+                                  trig2k, trig2q) if full else BUSY2)
 
         q1 += 0.5 * (xl1 + x1) * dt
         q2 += 0.5 * (xl2 + x2) * dt
@@ -578,7 +596,7 @@ def simulate(
                         a1, tp = new, t  # tp as the batch would leave it
                         if log:
                             append_event((t, EXO_RATE_JUMP, 1, x1, x2, False, False, green1,
-                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0))
+                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0) if full else EXO1)
                 elif ha2 < ha1 and ha2 < hp:
                     new = r2[i2]
                     if phi * a1 + new - b2 > 0.0:
@@ -589,7 +607,7 @@ def simulate(
                         a2t, tp = new, t
                         if log:
                             append_event((t, EXO_RATE_JUMP, 2, x1, x2, False, False, green1,
-                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0))
+                                          green2, a1, b1, b2, phi * a1 + a2t, -1, 0) if full else EXO2)
                 else:
                     break
 
@@ -637,7 +655,7 @@ def simulate(
                             s2 = (phi * d1 + a2t) - b2
                     if log:
                         append_event((t, EXO_RATE_JUMP, 1, x1, x2, busy1, busy2, green1, green2,
-                                      a1, b1, b2, phi * d1 + a2t, -1, 0))
+                                      a1, b1, b2, phi * d1 + a2t, -1, 0) if full else EXO1)
             else:  # a lone queue-2 jump
                 new = r2[i2]
                 if not busy2 and phi * d1 + new - b2 > 0.0:
@@ -650,7 +668,7 @@ def simulate(
                         s2 = (phi * d1 + a2t) - b2
                     if log:
                         append_event((t, EXO_RATE_JUMP, 2, x1, x2, busy1, busy2, green1, green2,
-                                      a1, b1, b2, phi * d1 + a2t, -1, 0))
+                                      a1, b1, b2, phi * d1 + a2t, -1, 0) if full else EXO2)
             q1 += 0.5 * (xl1 + x1) * dt
             q2 += 0.5 * (xl2 + x2) * dt
             xl1, xl2 = x1, x2
@@ -671,7 +689,7 @@ def simulate(
 
     if log:
         append_event((t, CONTROL_CYCLE_BOUNDARY, 0, x1, x2, busy1, busy2, green1,
-                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0))
+                      green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else MARK)
     w = horizon - t0
     return TandemTrajectory(events, (x1, x2), (q1 / w, q2 / w),
                             JacobianEstimate(r11 / w, r21 / w, r22 / w))

@@ -5,7 +5,7 @@ import pytest
 import tandemflow.cli as cli
 from tandemflow.cli import main
 from tandemflow.oracle import EntryCheck, GradCheckReport
-from tandemflow.scenario import config_text, default_paper_config
+from tandemflow.scenario import config_text, default_paper_config, load_config
 
 
 def read_csv(path):
@@ -43,6 +43,22 @@ class TestPrintConfig:
         out = capsys.readouterr().out
         assert "phi = 0.8\n" in out
         assert "seed = 6\n" in out
+
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # Editors that save UTF-8 with a byte-order mark put U+FEFF before
+        # the first key; the file must read as the same config without it.
+        text = "seed = 5\nphi = 0.8\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_config(str(bom)) == load_config(str(plain))
+        outs = []
+        for p in (plain, bom):
+            assert main(["print-config", "--config", str(p)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "seed = 5\n" in outs[0]
 
 
 class TestRun:
@@ -215,6 +231,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{first} and {second}" in err and "z0.1" in err
         assert not out.exists()
+
+    def test_negative_zero_is_the_zeta_zero(self, tmp_path, capsys):
+        # float("-0") is -0.0, which would tag its files z-0; it is zeta 0,
+        # so -0,0 names one cell twice and -0 writes what 0 writes.  The
+        # values go after "=", as argparse reads "-0,0" as an option.
+        out = tmp_path / "t"
+        assert main(["table1", "--config", fast_cfg(tmp_path), "--out", str(out),
+                     "--zeta-list=-0,0"]) == 2
+        err = capsys.readouterr().err
+        assert "values 0.0 and 0.0 share the run file tag z0" in err
+        assert not out.exists()
+        files = []
+        for zetas in ("-0", "0"):
+            out = tmp_path / f"z{zetas}"
+            assert main(["table1", "--config", fast_cfg(tmp_path), "--out", str(out),
+                         f"--zeta-list={zetas}"]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert files[0] == files[1]
+        assert sorted(files[0]) == ["run_z0_centralized_rep00.csv",
+                                    "run_z0_decentralized_rep00.csv", "summary.csv"]
 
     def test_empty_zeta_list(self, tmp_path, capsys):
         out = tmp_path / "t"

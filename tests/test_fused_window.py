@@ -53,6 +53,7 @@ from tandemflow.simcore import (
     GREEN_START,
     INTERNAL_RATE_JUMP,
     RED_START,
+    SIGNATURE,
     Event,
     PhasePlan,
     PiecewiseConstantRate,
@@ -328,6 +329,21 @@ def test_whole_event_log_is_pinned():
             digest.update(b"\n")
         digest.update(b"--\n")
     assert digest.hexdigest() == LOG_DIGEST
+
+
+def test_signature_log_codes_each_logged_event():
+    # log=SIGNATURE appends 4 * kind + queue where log=True appends the
+    # event's tuple, markers included, and all three modes give y, J and
+    # the end state the same bits.
+    windows = 0
+    for a1, a2t, plan, service, phi, x0, horizon, t0 in log_digest_windows():
+        bare, full, sig = (simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=log)
+                           for log in (False, True, SIGNATURE))
+        assert sig.events == [4 * e.kind + e.queue for e in named(full)]
+        assert {type(c) for c in sig.events} == {int}
+        assert fused(bare) == fused(full) == fused(sig)
+        windows += 1
+    assert windows == 5 * 32 + 4  # the battery windows, three reference ones, one ramp
 
 
 # Hand-made windows around the empty-period skip: constant service at 5.0,

@@ -28,6 +28,7 @@ from tandemflow.oracle import (
     stochastic_scenarios,
 )
 from tandemflow.simcore import (
+    SIGNATURE,
     Event,
     JacobianEstimate,
     PhasePlan,
@@ -142,48 +143,55 @@ class TestFlagging:
         assert not any(r.all_flagged for r in reports)
 
 
-def audited_logs(monkeypatch):
-    """For each scenario of both batteries: the logs of the four perturbed
-    runs the oracle made (theta1 + h, theta1 - h, theta2 + h, theta2 - h)
-    and the column flags it returned."""
-    real, logs = oracle.simulate, []
+def audited_runs(monkeypatch):
+    """For each scenario of both batteries: the four perturbed runs the
+    oracle made (theta1 + h, theta1 - h, theta2 + h, theta2 - h), each as
+    the signature log the oracle read and the full log of the same window
+    rerun with log=True, and the column flags the oracle returned."""
+    real, runs = oracle.simulate, []
 
-    def logging(*args, **kwargs):
+    def recording(*args, **kwargs):
         traj = real(*args, **kwargs)
         if kwargs.get("log", True):
-            logs.append(traj.events)
+            assert kwargs["log"] == SIGNATURE
+            runs.append((traj.events, real(*args, **{**kwargs, "log": True}).events))
         return traj
 
-    monkeypatch.setattr(oracle, "simulate", logging)
+    monkeypatch.setattr(oracle, "simulate", recording)
     for scenarios, h in ((deterministic_scenarios(), DEFAULT_DET_H),
                          (stochastic_scenarios(), DEFAULT_STOCH_H)):
         for scn in scenarios:
-            logs.clear()
+            runs.clear()
             *_, f1, f2 = fd_jacobian(scn, h)
-            yield list(logs), (f1, f2)
+            yield list(runs), (f1, f2)
 
 
 class TestAuditLog:
     def test_logged_events_are_plain_tuples_in_field_order(self, monkeypatch):
-        # No constructor checks a logged event's length: every entry is a
-        # plain tuple with one value per field, and Event._make names it.
+        # No constructor checks a logged event's length: every entry of the
+        # perturbed windows' full logs is a plain tuple with one value per
+        # field, and Event._make names it.
         fields = Event._fields
         events = 0
-        for logs, _ in audited_logs(monkeypatch):
-            assert len(logs) == 4
-            for log in logs:
+        for runs, _ in audited_runs(monkeypatch):
+            assert len(runs) == 4
+            for _, log in runs:
                 for e in log:
                     assert type(e) is tuple and len(e) == len(fields) and Event._make(e) == e, e
                 events += len(log)
-        assert events > 26000  # 26,348 over the 128 logged runs
+        assert events > 26000  # 26,348 over the 128 perturbed runs
 
     def test_column_flags_follow_the_kind_queue_pairs(self, monkeypatch):
-        # The oracle compares the kind and queue columns; flag each column
-        # here from the lists of (kind, queue) pairs instead.
+        # The oracle compares signature codes; recompute each run's codes
+        # and each column's flag from the rerun's (kind, queue) pairs.
         pair = itemgetter(1, 2)
         flags = []
-        for logs, got in audited_logs(monkeypatch):
-            p1, m1, p2, m2 = ([pair(e) for e in log] for log in logs)
+        for runs, got in audited_runs(monkeypatch):
+            pairs = []
+            for codes, log in runs:
+                pairs.append([pair(e) for e in log])
+                assert codes == [4 * k + q for k, q in pairs[-1]]
+            p1, m1, p2, m2 = pairs
             assert got == (p1 != m1, p2 != m2)
             flags += got
         assert len(flags) == 64 and any(flags) and not all(flags)  # 1 flagged

@@ -86,26 +86,55 @@ def test_simulate_has_one_advance():
 
 
 def test_log_only_guards_appends():
-    # `log` decides whether events are appended and nothing else: every read
-    # of it is the whole test of an `if log:` whose body only appends.  So
-    # both passes run one loop, and its float operations, whatever `log` is.
-    # Each append passes one plain tuple literal with a value for every
-    # field of Event: no constructor checks the count at run time.
+    # `log` decides whether events are appended, and in which form, and
+    # nothing else: past the two set-up statements that check it and set
+    # `full`, every read of it is the whole test of an `if log:` whose body
+    # only appends.  So all three modes run one loop, and its float
+    # operations.  Each append passes, when `full`, one plain tuple literal
+    # with a value for every field of Event, so no constructor checks the
+    # count at run time, and otherwise the code 4 * kind + queue of that
+    # tuple's kind and queue, a small int that CPython caches.
     func = simulate_ast()
     assert "log" in [a.arg for a in func.args.kwonlyargs]
     guards = [n for n in ast.walk(func)
               if isinstance(n, ast.If) and isinstance(n.test, ast.Name) and n.test.id == "log"]
     reads = [n for n in ast.walk(func)
              if isinstance(n, ast.Name) and n.id == "log" and isinstance(n.ctx, ast.Load)]
-    assert guards and sorted(map(id, reads)) == sorted(id(g.test) for g in guards)
+    guard_tests = {id(g.test) for g in guards}
+    set_up = [n for n in func.body if any(id(r) not in guard_tests for r in ast.walk(n)
+                                          if r in reads)]
+    assert [ast.unparse(n).splitlines()[0] for n in set_up] == [
+        "if log not in (False, True, SIGNATURE):", "full = log != SIGNATURE"]
+    assert isinstance(set_up[0].body[0], ast.Raise)
+    set_up_reads = [id(r) for n in set_up for r in ast.walk(n) if r in reads]
+    assert guards and sorted(map(id, reads)) == sorted([*guard_tests, *set_up_reads])
+    records = []
     for guard in guards:
         assert not guard.orelse, ast.unparse(guard)
         for stmt in guard.body:
             assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) \
                 and ast.unparse(stmt.value.func) == "append_event", ast.unparse(stmt)
             [record] = stmt.value.args
-            assert not stmt.value.keywords and isinstance(record, ast.Tuple) \
-                and len(record.elts) == len(simcore.Event._fields), ast.unparse(stmt)
+            assert not stmt.value.keywords and isinstance(record, ast.IfExp) \
+                and ast.unparse(record.test) == "full" and isinstance(record.body, ast.Tuple) \
+                and len(record.body.elts) == len(simcore.Event._fields), ast.unparse(stmt)
+            records.append(record)
+    fulls = [n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "full"
+             and isinstance(n.ctx, ast.Load)]
+    assert sorted(map(id, fulls)) == sorted(id(r.test) for r in records)
+
+    def value(node, kind, queue):
+        env = {**vars(simcore), "kind": kind, "queue": queue}
+        return eval(compile(ast.Expression(node), simcore.__file__, "eval"), env)
+
+    for record in records:
+        _, kind, queue = record.body.elts[:3]
+        for k in range(simcore.CONTROL_CYCLE_BOUNDARY + 1):
+            for q in range(3):
+                code = value(record.orelse, k, q)
+                assert code == 4 * value(kind, k, q) + value(queue, k, q) and 0 <= code < 256, \
+                    ast.unparse(record)
+    assert len(records) == 15
 
 
 def test_benchmark_hooks_see_every_call(monkeypatch):

@@ -79,6 +79,24 @@ class ZeroingGenerator:
         return float(u[0]) if size is None else u
 
 
+def drawn_blocks(monkeypatch, spec, seed, horizon, stream):
+    """gen_onoff's realization and the stage count of each block it drew,
+    read through a generator that records every draw."""
+    blocks = []
+
+    class RecordingGenerator:
+        def __init__(self, bit_generator):
+            self._gen = _Generator(bit_generator)
+
+        def random(self, size):
+            blocks.append(size[0])
+            return self._gen.random(size)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", RecordingGenerator)
+        return gen_onoff(spec, seed, horizon, stream), blocks
+
+
 class TestOnOffGeneration:
     def test_same_key_same_realization(self):
         spec = OnOffSpec(4.1, 0.3, 0.02, 0.063)
@@ -191,6 +209,29 @@ class TestBlockGeneratorMatchesScalarLoop:
             h = float(h)
             assert hexes(segments(gen_onoff(spec, seed, h, stream))) == \
                 hexes(scalar_gen_onoff(spec, seed, h, stream)), h
+
+    @pytest.mark.parametrize("spec,seed,stream,horizon", [
+        (SPECS[0], 1, 0, 900.5 * 0.049), (SPECS[2], 1, 0, 600.5 * 1.005)], ids=("queue1", "long_off"))
+    def test_realization_past_the_sized_first_block(self, monkeypatch, spec, seed, stream, horizon):
+        # A short horizon's block holds 16 stages more than it expects.  Both
+        # horizons are 900.5 and 600.5 mean stages long, and these keys' first
+        # 916 and 616 stages run short of their mean, so a second block follows.
+        ref = scalar_gen_onoff(spec, seed, horizon, stream)
+        arr, blocks = drawn_blocks(monkeypatch, spec, seed, horizon, stream)
+        assert len(blocks) == 2 and blocks[0] == blocks[1] < scenario._BLOCK
+        assert hexes(segments(arr)) == hexes(ref)
+
+    def test_short_horizon_draws_few_stages(self, monkeypatch):
+        # A 6 s horizon expects 6 / 0.049 = 122.4 stages; it draws one
+        # block of 138, not 1,024.
+        spec = self.SPECS[0]
+        arr, blocks = drawn_blocks(monkeypatch, spec, 1, 6.0, 0)
+        assert blocks == [138]
+        assert hexes(segments(arr)) == hexes(scalar_gen_onoff(spec, 1, 6.0, 0))
+        # The reference config's 1,000 s horizon and a 200 s one keep full blocks.
+        cfg = default_paper_config()
+        for horizon in (cfg.horizon(), 200.0):
+            assert drawn_blocks(monkeypatch, spec, 1, horizon, 0)[1][0] == scenario._BLOCK
 
     def test_zero_length_stages_are_skipped_alike(self, monkeypatch):
         monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)

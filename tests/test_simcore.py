@@ -264,6 +264,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(a, a, plan, CONST5, 1.0, (-0.1, 0.0), 2.0)
 
+    def test_simulate_rejects_an_unknown_log_mode(self):
+        plan = PhasePlan(1.0, 1.0, 0.4, 0.4)
+        a = constant_rate(1.0, 2.0)
+        with pytest.raises(ValueError, match="log must be False, True or 'signature', got 'sig'"):
+            simulate(a, a, plan, CONST5, 1.0, (0.0, 0.0), 2.0, log="sig")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("queue", [1, 2])
     def test_simulate_rejects_nonfinite_x0(self, queue, bad):
