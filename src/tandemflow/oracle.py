@@ -191,8 +191,8 @@ def deterministic_scenarios() -> list[GradScenario]:
     add("full-fraction", constant_rate(3.0, 3.0), constant_rate(0.25, 3.0),
         PhasePlan(1.0, 1.0, 0.47, 0.61), const, 1.0, (0.0, 0.0), 0.0, 3.0)
 
-    # Service rate that climbs in steps after each green onset: queue 2
-    # busy starts triggered by jumps in queue 1's service rate.
+    # Service rate that climbs in steps after each green onset.  Queue 2's
+    # one busy start is triggered by queue 1's arrival jump at 0.0.
     add("ramp-service", constant_rate(3.4, 4.0), constant_rate(0.3, 4.0),
         PhasePlan(1.0, 1.0, 0.37, 0.49), ramp, 0.9, (0.0, 0.0), 0.0, 4.0)
     add("ramp-heavy", constant_rate(4.2, 4.0), constant_rate(0.55, 4.0),

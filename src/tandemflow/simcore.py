@@ -350,7 +350,10 @@ def simulate(
     tests) is applied in place with no batch, in one of two ways, and logged
     as its batch would log it.  The empty-period skip takes those that fall
     while both queues are empty: there x1 = x2 = 0 and v11 = v22 = v21 = 0,
-    so each term the batch would add is a zero.  The busy run takes the
+    so each term the batch would add is a zero.  It changes no bit but saves
+    time: without it the kernel ran a closed-loop replication 1.17x and
+    1.28x as long in median (zeta = 0.3, 0.05), and 1.11x with the busy run
+    taking those jumps.  The busy run takes the
     rest: the advance is a loop that applies such a jump as its batch would
     (the trapezoid sums, and on a rate change the IPA integrals up to t and
     the affected slope; a jump moves no IPA value) and advances again.  A
@@ -548,14 +551,12 @@ def simulate(
                 append_event((t, EMPTY_START, 2, x1, x2, busy1, False, green1, green2,
                               a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else EMPTY2)
 
-        # Fillings, evaluated on the post-batch rates; queue 1 may cascade
-        # into queue 2 through its outflow jump.
+        # Fillings, evaluated on the post-batch rates.  Queue 1's filling
+        # lowers its outflow from a1 to b1, so it triggers no busy start.
         if not at_end:
             if not busy1 and a1 - b1 > 0.0:
                 hit = busy1 = True
                 cs1, bs1, v11 = 0.0, b1, 0.0
-                if not busy2 and trig2k < 0 and phi * b1 + a2t - b2 > 0.0:
-                    trig2k, trig2q = BUSY_START, 1
                 if log:
                     append_event((t, BUSY_START, 1, x1, x2, True, busy2, green1, green2,
                                   a1, b1, b2, phi * b1 + a2t, -1, 0) if full else BUSY1)
@@ -563,10 +564,8 @@ def simulate(
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
                 if trig2q == 1 and (trig2k == GREEN_START or trig2k == INTERNAL_RATE_JUMP):
-                    # The onset rides queue 1's red duration one for one.
+                    # The onset rides theta1 one for one (else v21 is already 0.0).
                     v21 = -((phi * (b1 if busy1 else a1) + a2t) - b2)
-                else:
-                    v21 = 0.0
                 if log:
                     append_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
                                   a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,

@@ -493,6 +493,14 @@ BUSY_WINDOWS = {
     "drain rounds to zero at a jump": (
         [(0.0, 2.0), (DRAIN_JUMP, 1.0)], [(0.0, 0.0)], (0.25, 0.25), 0.0, (DRAIN_X1, 0.0),
         DRAIN_T0, {DRAIN_JUMP: [(EXO_RATE_JUMP, 1), (EMPTY_START, 1)]}),
+    # The same drains to zero at a jump above the service rate: the busy run
+    # hands the jump over, and the batch empties the queue and refills it.
+    "drain rounds to zero at a jump that refills queue 1": (
+        [(0.0, 2.0), (DRAIN_JUMP, 6.0)], [(0.0, 0.0)], (0.25, 0.25), 0.0, (DRAIN_X1, 0.0),
+        DRAIN_T0, {DRAIN_JUMP: [(EXO_RATE_JUMP, 1), (EMPTY_START, 1), (BUSY_START, 1)]}),
+    "drain rounds to zero at a jump that refills queue 2": (
+        [(0.0, 0.0)], [(0.0, 2.0), (DRAIN_JUMP, 6.0)], (0.25, 0.25), 0.0, (0.0, DRAIN_X1),
+        DRAIN_T0, {DRAIN_JUMP: [(EXO_RATE_JUMP, 2), (EMPTY_START, 2), (BUSY_START, 2)]}),
     # The same window with queue 2's green onset at 0.5 splitting the drain:
     # queue 1 empties one ulp after the jump.
     "drain completes one ulp after a jump": (
@@ -565,15 +573,12 @@ def busy_lone_jumps(events):
                for e in inner)
 
 
-def test_random_busy_heavy_windows():
-    # Reference on/off arrivals with red durations near their cycles and
-    # backlogs at t0, so a queue is busy nearly all the time: the tie-forced
-    # window, which applies every jump in a general batch, is the oracle for
-    # the busy run in both passes.  Every fifth window is also held to the
-    # exact reference.
+def busy_heavy_windows():
+    """Forty seeded 3 s windows on the reference on/off arrivals, with red
+    durations near their cycles and backlogs at t0, so a queue is busy
+    nearly all the time."""
     cfg = default_paper_config()
     rng = random.Random(13)
-    lone = 0
     for w in range(40):
         c2 = (0.7, 1.0, 1.3)[w % 3]
         a1 = gen_onoff(cfg.alpha1_spec(), cfg.seed, 30.0, stream=2 * w)
@@ -583,7 +588,15 @@ def test_random_busy_heavy_windows():
         x0 = (rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.1, 3.0)]))
         phi = rng.choice([0.5, 0.9, 1.0, rng.random()])
         service = EDGE_SERVICE if w % 2 else STAIRS
-        args = (a1, a2t, plan, service, phi, x0, t0 + 3.0, t0)
+        yield a1, a2t, plan, service, phi, x0, t0 + 3.0, t0
+
+
+def test_random_busy_heavy_windows():
+    # The tie-forced window, which applies every jump in a general batch, is
+    # the oracle for the busy run in both passes.  Every fifth window is also
+    # held to the exact reference.
+    lone = 0
+    for w, args in enumerate(busy_heavy_windows()):
         lone += busy_lone_jumps(named(check_window(*args, exact=w % 5 == 0)))
     assert lone > 9000  # 9,821 of the 10,472 batches at this seed
 

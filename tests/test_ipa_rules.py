@@ -15,22 +15,27 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import assert_jacobian, exact_jacobian
-from test_fused_window import named
+from test_fused_window import check_window, fused, named
 from tandemflow.simcore import (
     BUSY_START,
     CONTROL_CYCLE_BOUNDARY,
     EMPTY_START,
     EXO_RATE_JUMP,
     GREEN_START,
+    INTERNAL_RATE_JUMP,
     JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
+    RED_START,
     ServiceProfile,
     constant_rate,
     simulate,
 )
 
 CONST5 = ServiceProfile(5.0, 5.0)
+# Queue 2 served at 4.0; queue 1 opens each green at 2.0 and steps to 5.0
+# 0.2 s into it.
+STEP_AT_02 = ServiceProfile(5.0, 4.0, ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.2, 5.0)], 1.0))
 
 
 def window(theta1, theta2, a1, a2t, phi=1.0, horizon=1.0, x0=(0.0, 0.0)):
@@ -164,6 +169,39 @@ class TestCrossRules:
         for t, _ in midpoints(traj):
             assert value_at(args, t, "21") == 0
 
+    def test_queue_1_staircase_step_moves_a_busy_start(self):
+        # Queue 1 fills through its red, opens its green at 2.0 at 0.3 and
+        # steps to 5.0 at 0.5, which lifts queue 2's inflow from 2.5 to 5.5
+        # against its 4.0: that busy start rides theta1 one for one, so v21
+        # is -(5.5 - 4.0) on [0.5, 1) and j21 = -0.75.  Were the step not
+        # recorded as the trigger, v21 would stay 0.0.
+        args = (constant_rate(3.0, 1.0), constant_rate(0.5, 1.0), PhasePlan(1.0, 1.0, 0.3, 0.1),
+                STEP_AT_02, 1.0, (0.0, 0.0), 1.0)
+        traj = simulate(*args)
+        assert [(ev.trigger_kind, ev.trigger_queue) for ev in named(traj)
+                if ev.kind == BUSY_START and ev.queue == 2 and ev.epoch == 0.5] == \
+            [(INTERNAL_RATE_JUMP, 1)]
+        assert traj.jac.j21 == -0.75
+        assert assert_jacobian(traj.jac, exact_jacobian(*args)) == 2
+
+    def test_queue_1_filling_triggers_no_busy_start(self):
+        # Queue 1's filling lowers its outflow from a1 to b1, so it never
+        # turns queue 2's net inflow positive.  At t0 = 0.25 light 1 is green
+        # and light 2 red: both queues fill in the window's first batch, and
+        # queue 2 on the inflow it had entering the window, so no event
+        # triggers its busy start.  The bits are those recorded when queue
+        # 1's filling was still logged as the trigger.
+        args = window(0.2, 0.5, 6.0, 0.5, phi=0.9, horizon=1.5)
+        traj = simulate(*args, t0=0.25)
+        assert [(ev.kind, ev.queue, ev.trigger_kind, ev.trigger_queue)
+                for ev in named(traj) if ev.epoch == 0.25][1:] == \
+            [(BUSY_START, 1, -1, 0), (BUSY_START, 2, -1, 0)]
+        assert fused(traj) == (
+            "0x1.e3d70a3d70a3dp-1", "0x1.5645a1cac0832p+0", "0x1.3333333333334p+0",
+            "-0x1.147ae147ae148p+0", "0x1.0000000000000p+2", "0x1.2000000000000p+1",
+            "0x1.6cccccccccccep+1")
+        assert assert_jacobian(traj.jac, exact_jacobian(*args, 0.25)) == 1
+
     def test_busy_start_triggered_by_an_emptying_is_rejected(self):
         # An emptying of queue 1 lowers queue 2's inflow, so it never
         # triggers queue 2's busy start, and simulate never records it as
@@ -172,6 +210,58 @@ class TestCrossRules:
             for ev in named(simulate(*args)):
                 if ev.kind == BUSY_START and ev.queue == 2:
                     assert ev.trigger_kind != EMPTY_START
+
+
+# Batches whose events tie, around queue 2's busy-start trigger: the first
+# event, in batch order, after which an idle queue 2's net inflow is
+# positive.  Each entry is (arrivals1, arrivals2_tilde, (c1, c2), (theta1,
+# theta2), service, phi, the checked epoch, the (kind, queue) pairs logged
+# there, and the trigger of queue 2's busy start there).  Both queues start
+# empty at 0.0 and the horizon is 2.0.  Only a trigger on queue 1's green
+# onset or staircase step moves v21, so the others show in the log alone.
+TRIGGER_WINDOWS = {
+    # Queue 1's green onset leaves queue 2's net inflow at exactly 0.0
+    # (1.0 * 5 + 0 - 5); the tied queue-2 jump makes it positive.
+    "net inflow zero after a green onset": (
+        [(0.0, 3.0)], [(0.0, 0.0), (0.5, 0.5)], (1.0, 1.0), (0.5, 0.25), CONST5, 1.0,
+        0.5, [(GREEN_START, 1), (EXO_RATE_JUMP, 2), (BUSY_START, 2)], (EXO_RATE_JUMP, 2)),
+    # Queue 1's jump leaves it at exactly 0.0 (0.5 * 4 + 3 - 5).
+    "net inflow zero after a queue-1 jump": (
+        [(0.0, 0.0), (0.625, 4.0)], [(0.0, 0.0), (0.5625, 3.0), (0.625, 3.5)], (1.0, 1.0),
+        (0.5, 0.5), CONST5, 0.5,
+        0.625, [(EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2), (BUSY_START, 2)], (EXO_RATE_JUMP, 2)),
+    # Queue 2's jump leaves it at exactly 0.0 (1.0 * 2 + 2 - 4); queue 1's
+    # tied step to 5.0 makes it positive and moves v21.
+    "net inflow zero after a queue-2 jump": (
+        [(0.0, 3.0)], [(0.0, 0.5), (0.5, 2.0)], (1.0, 1.0), (0.3, 0.1), STEP_AT_02, 1.0,
+        0.5, [(EXO_RATE_JUMP, 2), (INTERNAL_RATE_JUMP, 1), (BUSY_START, 2)],
+        (INTERNAL_RATE_JUMP, 1)),
+    # Queue 2's red start makes it positive first; both arrival jumps and
+    # queue 1's step (green since 0.25, stepping 0.75 s in) tie with it.
+    "red start first, then tied jumps and a step": (
+        [(0.0, 4.0), (1.0, 4.5)], [(0.0, 1.0), (1.0, 1.5)], (1.5, 1.0), (0.25, 0.25),
+        ServiceProfile(5.0, 5.0, ramp1=PiecewiseConstantRate([(0.0, 2.0), (0.75, 5.0)], 1.0)),
+        1.0, 1.0, [(RED_START, 2), (EXO_RATE_JUMP, 1), (EXO_RATE_JUMP, 2),
+                   (INTERNAL_RATE_JUMP, 1), (BUSY_START, 2)], (RED_START, 2)),
+    # theta2 = 1e-17 rounds queue 2's green onset onto its red start at 1.0:
+    # the red start makes the net inflow 3.0, the green reopening at 2.5
+    # leaves it positive.
+    "green onset rounded onto its red start": (
+        [(0.0, 0.0)], [(0.0, 3.0)], (1.0, 1.0), (0.5, 1e-17),
+        ServiceProfile(5.0, 5.0, ramp2=PiecewiseConstantRate([(0.0, 2.5), (0.15, 5.0)], 1.0)),
+        0.0, 1.0, [(RED_START, 1), (RED_START, 2), (GREEN_START, 2), (BUSY_START, 2)],
+        (RED_START, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIGGER_WINDOWS))
+def test_busy_start_trigger_is_the_first_event_that_fills(name):
+    a1, a2t, cycles, theta, service, phi, at, pairs, trigger = TRIGGER_WINDOWS[name]
+    args = (PiecewiseConstantRate(a1, 2.0), PiecewiseConstantRate(a2t, 2.0),
+            PhasePlan(*cycles, *theta), service, phi, (0.0, 0.0), 2.0, 0.0)
+    events = [ev for ev in named(check_window(*args)) if ev.epoch == at]
+    assert [(ev.kind, ev.queue) for ev in events] == pairs
+    assert (events[-1].trigger_kind, events[-1].trigger_queue) == trigger
 
 
 class TestResetOnEmpty:
