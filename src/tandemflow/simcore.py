@@ -197,18 +197,20 @@ class TandemTrajectory:
     """The outputs of one simulated window [t0, horizon).
 
     x_end is the state at the horizon, y the time-averaged contents over the
-    window and jac the window's sample-path Jacobian.  Under log=True, events
-    is the annotated log of plain tuples in `Event._fields` order, bracketed
-    by ControlCycleBoundary markers whose annotations give the state entering
-    and leaving the window; under log=SIGNATURE it holds each of those
-    events' code 4 * kind + queue instead; under log=False it is empty.  The
-    state at any batch epoch t is the end state of the same run with horizon t.
+    window and jac the window's sample-path Jacobian, or None under
+    log=SIGNATURE, which skips the busy run's Jacobian integrals.  Under
+    log=True, events is the annotated log of plain tuples in `Event._fields`
+    order, bracketed by ControlCycleBoundary markers whose annotations give
+    the state entering and leaving the window; under log=SIGNATURE it holds
+    each of those events' code 4 * kind + queue instead; under log=False it
+    is empty.  The state at any batch epoch t is the end state of the same
+    run with horizon t.
     """
 
     events: list
     x_end: tuple[float, float]
     y: tuple[float, float]
-    jac: JacobianEstimate
+    jac: JacobianEstimate | None
 
 
 # Light-plan codes.  A light switch is 2 * (queue - 1) + kind, so sorting on
@@ -325,14 +327,17 @@ def simulate(
     after the restart epoch.
 
     The window outputs y and jac are computed in the same pass.  `log` only
-    decides whether events are appended, and in which form, so y, jac and
-    the end state are the same bits in all three modes.  With log=False the
-    list stays empty, which is all a closed-loop plant needs; with log=True
-    it holds plain tuples, built inline, in `Event._fields` order
-    (`Event._make` names one); with log=SIGNATURE it holds one small int per
-    event, 4 * kind + queue, markers included, and builds no tuple.  The
-    code is injective, so two signature logs are equal exactly when their
-    lists of (kind, queue) pairs are.
+    decides whether events are appended, and in which form, so y and the end
+    state are the same bits in all three modes, and jac under False and
+    True.  With log=False the list stays empty, which is all a closed-loop
+    plant needs; with log=True it holds plain tuples, built inline, in
+    `Event._fields` order (`Event._make` names one); with log=SIGNATURE it
+    holds one small int per event, 4 * kind + queue, markers included, and
+    builds no tuple.  The code is injective, so two signature logs are equal
+    exactly when their lists of (kind, queue) pairs are.  The signature pass
+    also skips the busy run's Jacobian integrals (the flag `full`), so its
+    jac would be incomplete and it returns None: the audit that uses it
+    reads only y and the codes.
 
     The loop reads three streams, each a list ending in the sentinel
     `horizon`: the light plan (the switches, each with the rate it sets, and
@@ -353,10 +358,10 @@ def simulate(
     so each term the batch would add is a zero.  It changes no bit but saves
     time: without it the kernel ran a closed-loop replication 1.17x and
     1.28x as long in median (zeta = 0.3, 0.05), and 1.11x with the busy run
-    taking those jumps.  The busy run takes the
-    rest: the advance is a loop that applies such a jump as its batch would
-    (the trapezoid sums, and on a rate change the IPA integrals up to t and
-    the affected slope; a jump moves no IPA value) and advances again.  A
+    taking those jumps.  The busy run takes the rest: the advance is a loop
+    that applies such a jump as its batch would (the trapezoid sums, and on
+    a rate change the affected slope and, but in the signature pass, the IPA
+    integrals up to t; a jump moves no IPA value) and advances again.  A
     jump to the rate already in force logs nothing, but it still splits the
     drain x += s*dt and the trapezoid sums in two, so dropping it while a
     queue is busy changes the last bits of y, J and the end state.  The busy
@@ -643,9 +648,14 @@ def simulate(
                                               not busy2 and phi * new + a2t - b2 > 0.0):
                     break
                 i1, ha1 = i1 + 1, e1[i1 + 1]
-                hit = new != a1
-                if hit:
+                if new != a1:
                     a1 = new
+                    if full:
+                        dtp = t - tp
+                        r11 += v11 * dtp
+                        r22 += v22 * dtp
+                        r21 += v21 * dtp
+                        tp = t
                     if busy1:
                         s1 = a1 - b1
                     else:
@@ -660,9 +670,14 @@ def simulate(
                 if not busy2 and phi * d1 + new - b2 > 0.0:
                     break
                 i2, ha2 = i2 + 1, e2[i2 + 1]
-                hit = new != a2t
-                if hit:
+                if new != a2t:
                     a2t = new
+                    if full:
+                        dtp = t - tp
+                        r11 += v11 * dtp
+                        r22 += v22 * dtp
+                        r21 += v21 * dtp
+                        tp = t
                     if busy2:
                         s2 = (phi * d1 + a2t) - b2
                     if log:
@@ -671,12 +686,6 @@ def simulate(
             q1 += 0.5 * (xl1 + x1) * dt
             q2 += 0.5 * (xl2 + x2) * dt
             xl1, xl2 = x1, x2
-            if hit:
-                dtp = t - tp
-                r11 += v11 * dtp
-                r22 += v22 * dtp
-                r21 += v21 * dtp
-                tp = t
         # The emptyings that ended the busy run (x <= 0.0: within an ulp of t).
         empt1 = s1 < 0.0 and (t == pred1 or x1 <= 0.0)
         empt2 = s2 < 0.0 and (t == pred2 or x2 <= 0.0)
@@ -691,4 +700,4 @@ def simulate(
                       green2, a1, b1, b2, phi * (b1 if busy1 else a1) + a2t, -1, 0) if full else MARK)
     w = horizon - t0
     return TandemTrajectory(events, (x1, x2), (q1 / w, q2 / w),
-                            JacobianEstimate(r11 / w, r21 / w, r22 / w))
+                            JacobianEstimate(r11 / w, r21 / w, r22 / w) if full else None)

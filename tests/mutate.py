@@ -19,19 +19,22 @@ IEEE Computer 11(4), 1978; Jia & Harman, IEEE TSE 37(5), 2011):
 A mutant rewrites one span of the kernel's text and pads it with newlines,
 so every other byte and every line number stays as it is.
 
-A mutant is killed when the kernel tests fail on it, or when they run past
-`TIMEOUT` seconds, since a mutant may loop forever; it survives when they
-pass.  The run stops at the first failure (`-x`), and each test process is
-capped at `MEMORY` bytes of address space, so that a mutant that appends
-events forever fails on a MemoryError instead of filling the machine.  The
+A mutant is killed when the kernel tests fail on it, or when its run is
+cut, since a mutant may loop forever; it survives when they pass.  The
 unmutated kernel runs first, through the same path, and must pass:
-otherwise every mutant would read as killed.
+otherwise every mutant would read as killed.  That run also times each
+test, and a mutant's run is cut as soon as one of its tests runs past
+`BUDGET_FACTOR` times the slowest of those times (`Budget`), or the whole
+run past `TIMEOUT` seconds.  The run stops at the first failure (`-x`), and
+each test process is capped at `MEMORY` bytes of address space, so that a
+mutant that appends events forever fails on a MemoryError instead of
+filling the machine.
 
 Each survivor is then run beside the unmutated kernel over the tests' fuzz
 sets (`fuzz_windows`) in all three log modes, and its row gives the number
-of runs whose y, J, end state or log differ in any bit.  None marks a
-candidate for an equivalence argument; any shows a difference that a new
-test can pin down.
+of runs whose y, J (in the modes that return one), end state or log differ
+in any bit.  None marks a candidate for an equivalence argument; any shows
+a difference that a new test can pin down.
 
 Each mutant runs in a fresh copy of `src/`, `tests/` and the benchmark's
 golden inputs.  Rewriting `simcore.py` in place for the next mutant is not
@@ -46,12 +49,15 @@ from __future__ import annotations
 
 import ast
 import copy
+import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +71,9 @@ FUNCTIONS = ("simulate", "_light_plan")
 TESTS = ("tests/test_golden.py", "tests/test_simcore.py", "tests/test_ipa_rules.py",
          "tests/test_invariants.py", "tests/test_fused_window.py")
 GOLDEN_INPUTS = ("benchmarks/golden.json", "benchmarks/sweep.cfg")
-TIMEOUT = 60  # seconds; the unmutated kernel's tests take about 20 s on one core
+TIMEOUT = 60  # seconds for a whole run; the unmutated kernel's tests take about 20 s
+BUDGET_FACTOR = 10  # a test's budget, in multiples of the unmutated run's slowest test
+CUT = 86  # the exit status of a test process cut by its budget
 MEMORY = 2 << 30  # bytes of address space per test process
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
 REPORT = ROOT / "MUTANTS.md"
@@ -180,16 +188,43 @@ def mutants(path: Path = ROOT / KERNEL):
             yield Mutant(func.name, node.lineno, operator, change, head, mutated, tail)
 
 
-# A child process caps its address space, then runs its payload.
+class Budget:
+    """A pytest plugin that times each test, from its set-up to its
+    teardown, into `times` (node id to seconds), and, given `seconds`, ends
+    the process with exit status CUT once one test has run that long.  The
+    alarm's handler calls os._exit, which no test can catch."""
+
+    def __init__(self, seconds: float):
+        self.seconds, self.times = seconds, {}
+        if seconds:
+            signal.signal(signal.SIGALRM, lambda *_: os._exit(CUT))
+
+    def pytest_runtest_logstart(self, nodeid, location):
+        self.start = time.perf_counter()
+        if self.seconds:
+            signal.setitimer(signal.ITIMER_REAL, self.seconds)
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        if self.seconds:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+        self.times[nodeid] = time.perf_counter() - self.start
+
+
+# A child process caps its address space, then runs its payload.  The test
+# run takes the budget (0 for none) and the file for its times.
 LIMIT = f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({MEMORY}, {MEMORY})); "
-PYTEST = LIMIT + "import pytest; sys.exit(pytest.main(sys.argv[1:]))"
+PYTEST = LIMIT + ("sys.path.insert(0, 'tests'); import json, mutate, pytest; "
+                  "budget = mutate.Budget(float(sys.argv[1])); "
+                  "status = pytest.main(sys.argv[3:], plugins=[budget]); "
+                  "open(sys.argv[2], 'w').write(json.dumps(budget.times)); sys.exit(status)")
 COMPARE = LIMIT + ("sys.path[:0] = sys.argv[2:]; import mutate; "
                    "print(*mutate.bit_mismatches(open(sys.argv[1]).read()))")
 
 
-def run_tests(source: str) -> str:
-    """'survived', 'killed' or 'timeout' for the kernel `source`, run in a
-    fresh scratch copy of the repository."""
+def run_tests(source: str, budget: float = 0.0):
+    """'survived', 'killed' or 'cut' for the kernel `source`, run in a fresh
+    scratch copy of the repository with each test cut at `budget` seconds
+    (0 for no cut), and the times of the tests that finished."""
     with tempfile.TemporaryDirectory(prefix="tandemflow-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -199,14 +234,19 @@ def run_tests(source: str) -> str:
             shutil.copy2(ROOT / name, copy / name)
         (copy / KERNEL).write_text(source)
         env = dict(ENV, PYTHONPATH=str(copy / "src"))
+        times = copy / "times.json"
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", PYTEST, "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+                [sys.executable, "-c", PYTEST, str(budget), str(times),
+                 "-x", "-q", "-p", "no:cacheprovider", *TESTS],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return "timeout"
-        return "survived" if proc.returncode == 0 else "killed"
+            return "cut", {}
+        if proc.returncode == CUT:
+            return "cut", {}
+        return ("survived" if proc.returncode == 0 else "killed",
+                json.loads(times.read_text()) if times.exists() else {})
 
 
 def fuzz_windows():
@@ -227,11 +267,18 @@ def fuzz_windows():
 
 def bit_mismatches(source: str):
     """(runs, mismatches) of the kernel `source` against the current one:
-    each fuzz window in each log mode is a run, and it mismatches when y, J,
-    the end state or the log differ in any bit (floats as float.hex), or
-    when the kernel `source` raises.  Needs `tests/` and `src/` on sys.path."""
+    each fuzz window in each log mode is a run, and it mismatches when y,
+    the end state, J (where the current kernel returns one; the signature
+    pass returns none) or the log differ in any bit (floats as float.hex),
+    or when the kernel `source` raises.  Needs `tests/` and `src/` on
+    sys.path."""
     from tandemflow import simcore
-    from test_fused_window import fused, log_bits
+    from test_fused_window import bits, log_bits
+
+    def outputs(traj):
+        jac = traj.jac
+        return bits(*traj.y, *traj.x_end) + (() if jac is None else bits(jac.j11, jac.j21, jac.j22))
+
     mutant = types.ModuleType("mutant")
     sys.modules["mutant"] = mutant  # a dataclass looks up its module
     exec(compile(source, "mutant.py", "exec"), vars(mutant))
@@ -240,19 +287,18 @@ def bit_mismatches(source: str):
         for log in (False, True, simcore.SIGNATURE):
             want = simcore.simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=log)
             runs += 1
+            key = log_bits if log is True else list
             try:
                 got = mutant.simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=log)
+                mismatches += outputs(got) != outputs(want) or key(got.events) != key(want.events)
             except Exception:
                 mismatches += 1
-                continue
-            key = log_bits if log is True else list
-            mismatches += fused(got) != fused(want) or key(got.events) != key(want.events)
     return runs, mismatches
 
 
 def compare(source: str) -> str:
     """`bit_mismatches` of the kernel `source`, run in a child process with
-    the same timeout and memory cap as the tests, as "k of n runs differ"."""
+    the whole test run's timeout and memory cap, as "k of n runs differ"."""
     with tempfile.TemporaryDirectory(prefix="tandemflow-mutant-") as tmp:
         path = Path(tmp, "mutant.py")
         path.write_text(source)
@@ -273,10 +319,10 @@ def report(rows) -> str:
     with its outcome and, for a survivor, its bit comparison."""
     count = Counter(outcome for _, outcome, _ in rows)
     by_op = Counter(m.operator for m, _, _ in rows)
-    total, killed = len(rows), count["killed"] + count["timeout"]
+    total, killed = len(rows), count["killed"] + count["cut"]
     out = [MARKER, "",
            f"{total} mutants ({', '.join(f'{by_op[op]} {op}' for op in OPERATORS)}): "
-           f"{count['killed']} killed, {count['timeout']} timed out, {count['survived']} survived. "
+           f"{count['killed']} killed, {count['cut']} cut, {count['survived']} survived. "
            f"Kill rate {killed}/{total} = {100.0 * killed / total:.1f}%.", "",
            "| # | function | line | operator | mutation | outcome |",
            "| ---: | --- | ---: | --- | --- | --- |"]
@@ -289,13 +335,20 @@ def report(rows) -> str:
 
 
 def main() -> int:
-    if run_tests((ROOT / KERNEL).read_text()) != "survived":
+    start = time.perf_counter()
+    outcome, times = run_tests((ROOT / KERNEL).read_text())
+    if outcome != "survived":
         print("the kernel tests fail on the unmutated kernel; no mutant was run", file=sys.stderr)
         return 1
+    slowest = max(times, key=times.get)
+    budget = BUDGET_FACTOR * times[slowest]
+    print(f"{len(times)} tests; slowest {slowest} {times[slowest]:.2f} s; "
+          f"each mutant's tests are cut at {budget:.1f} s", flush=True)
     found = list(mutants())
     outcomes = []
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        for m, outcome in zip(found, pool.map(run_tests, (m.source for m in found))):
+        runs = pool.map(lambda source: run_tests(source, budget)[0], (m.source for m in found))
+        for m, outcome in zip(found, runs):
             outcomes.append(outcome)
             if outcome == "survived":
                 print(f"survived: {m.function}:{m.line} {m.operator} {m.change}", flush=True)
@@ -308,6 +361,7 @@ def main() -> int:
     head = REPORT.read_text().split(MARKER)[0] if REPORT.exists() else "# Mutation audit\n\n"
     REPORT.write_text(head + text)
     print(text.splitlines()[2])
+    print(f"audit wall time {time.perf_counter() - start:.0f} s")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 simulate computes each window's averages y, Jacobian J and end state in the
 pass that applies the events.  With the log built or not they must be the
-same bits, and they must lie within a rounding bound of the exact-rational
+same bits (the signature pass returns no J, and the same y and end state),
+and they must lie within a rounding bound of the exact-rational
 simulator in exact_reference, on windows of a reduced table1 sweep, of both
 gradient-oracle batteries and of a seeded fuzz near coincident epochs.  One
 recorded digest pins every field of every logged event on a fixed set of
@@ -141,11 +142,15 @@ def count_batches(a1, a2t, plan, service, phi, x0, horizon, t0):
 def check_window(a1, a2t, plan, service, phi, x0, horizon, t0, exact=True):
     """The same bits from the bare pass, the logged pass and the tie-forced
     window, the same log from the logged pass and the tie-forced window,
-    no more general batches than the loop's bound, and, if `exact`, y and
-    the end state within the rounding bound of the exact reference.
-    Returns the logged pass."""
+    the same y, end state and (kind, queue) codes from the signature pass,
+    which returns no J, no more general batches than the loop's bound, and,
+    if `exact`, y and the end state within the rounding bound of the exact
+    reference.  Returns the logged pass."""
     logged = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0)
     bare = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=False)
+    sig = simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=SIGNATURE)
+    assert sig.jac is None and bits(*sig.y, *sig.x_end) == bits(*logged.y, *logged.x_end)
+    assert sig.events == [4 * kind + queue for _, kind, queue, *_ in logged.events]
     counted, batches, bound = count_batches(a1, a2t, plan, service, phi, x0, horizon, t0)
     assert fused(counted) == fused(bare) and batches <= bound
     oracle = simulate(*tie_forced(a1, a2t, t0, horizon), plan, service, phi, x0, horizon, t0=t0)
@@ -333,15 +338,17 @@ def test_whole_event_log_is_pinned():
 
 def test_signature_log_codes_each_logged_event():
     # log=SIGNATURE appends 4 * kind + queue where log=True appends the
-    # event's tuple, markers included, and all three modes give y, J and
-    # the end state the same bits.
+    # event's tuple, markers included.  All three modes give y and the end
+    # state the same bits; False and True give J the same bits, and the
+    # signature pass, which skips the busy run's Jacobian integrals, none.
     windows = 0
     for a1, a2t, plan, service, phi, x0, horizon, t0 in log_digest_windows():
         bare, full, sig = (simulate(a1, a2t, plan, service, phi, x0, horizon, t0=t0, log=log)
                            for log in (False, True, SIGNATURE))
         assert sig.events == [4 * e.kind + e.queue for e in named(full)]
         assert {type(c) for c in sig.events} == {int}
-        assert fused(bare) == fused(full) == fused(sig)
+        assert fused(bare) == fused(full) and sig.jac is None
+        assert bits(*bare.y, *bare.x_end) == bits(*sig.y, *sig.x_end)
         windows += 1
     assert windows == 5 * 32 + 4  # the battery windows, three reference ones, one ramp
 

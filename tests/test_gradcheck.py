@@ -93,13 +93,14 @@ class TestBatteries:
 
     def test_corrupted_estimator_fails_the_battery(self, monkeypatch):
         # Skew the Jacobian the simulator computes online, which is the
-        # estimate the oracle audits.
+        # estimate the oracle audits, in every run that returns one.
         real = oracle.simulate
 
         def skewed(*args, **kwargs):
             traj = real(*args, **kwargs)
             jac = traj.jac
-            traj.jac = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22)
+            if jac is not None:
+                traj.jac = JacobianEstimate(jac.j11, jac.j21 + 0.05, jac.j22)
             return traj
 
         monkeypatch.setattr(oracle, "simulate", skewed)
@@ -147,22 +148,31 @@ def audited_runs(monkeypatch):
     """For each scenario of both batteries: the four perturbed runs the
     oracle made (theta1 + h, theta1 - h, theta2 + h, theta2 - h), each as
     the signature log the oracle read and the full log of the same window
-    rerun with log=True, and the column flags the oracle returned."""
-    real, runs = oracle.simulate, []
+    rerun with log=True, and the column flags the oracle returned.  The one
+    unlogged call of each audit must be the nominal window, and the J the
+    report carries its J: no signature run returns a J to audit."""
+    real, runs, bare = oracle.simulate, [], []
 
     def recording(*args, **kwargs):
         traj = real(*args, **kwargs)
         if kwargs.get("log", True):
-            assert kwargs["log"] == SIGNATURE
+            assert kwargs["log"] == SIGNATURE and traj.jac is None
             runs.append((traj.events, real(*args, **{**kwargs, "log": True}).events))
+        else:
+            bare.append((args, kwargs, traj.jac))
         return traj
 
     monkeypatch.setattr(oracle, "simulate", recording)
-    for scenarios, h in ((deterministic_scenarios(), DEFAULT_DET_H),
-                         (stochastic_scenarios(), DEFAULT_STOCH_H)):
+    for scenarios, h, tol in ((deterministic_scenarios(), DEFAULT_DET_H, DEFAULT_DET_TOL),
+                              (stochastic_scenarios(), DEFAULT_STOCH_H, DEFAULT_STOCH_TOL)):
         for scn in scenarios:
             runs.clear()
-            *_, f1, f2 = fd_jacobian(scn, h)
+            bare.clear()
+            report = grad_check(scn, h, tol)
+            [(args, kwargs, jac)] = bare
+            assert args + (kwargs,) == (*window_args(scn)[:-1], {"t0": scn.t0, "log": False})
+            assert [e.analytic for e in report.entries] == [jac.j11, jac.j21, jac.j12, jac.j22]
+            f1, _, f2, _ = (e.flagged for e in report.entries)
             yield list(runs), (f1, f2)
 
 

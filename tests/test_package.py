@@ -90,10 +90,12 @@ def test_log_only_guards_appends():
     # nothing else: past the two set-up statements that check it and set
     # `full`, every read of it is the whole test of an `if log:` whose body
     # only appends.  So all three modes run one loop, and its float
-    # operations.  Each append passes, when `full`, one plain tuple literal
-    # with a value for every field of Event, so no constructor checks the
-    # count at run time, and otherwise the code 4 * kind + queue of that
-    # tuple's kind and queue, a small int that CPython caches.
+    # operations but for the busy run's Jacobian integrals, which only
+    # `full` guards (below).  Each append passes, when `full`, one plain
+    # tuple literal with a value for every field of Event, so no
+    # constructor checks the count at run time, and otherwise the code
+    # 4 * kind + queue of that tuple's kind and queue, a small int that
+    # CPython caches.
     func = simulate_ast()
     assert "log" in [a.arg for a in func.args.kwonlyargs]
     guards = [n for n in ast.walk(func)
@@ -119,9 +121,27 @@ def test_log_only_guards_appends():
                 and ast.unparse(record.test) == "full" and isinstance(record.body, ast.Tuple) \
                 and len(record.body.elts) == len(simcore.Event._fields), ast.unparse(stmt)
             records.append(record)
+    # Past the records, `full` is read by the tests of `if full:` blocks
+    # that only update the busy run's Jacobian integrals, which the
+    # signature pass skips, and by the return, which then gives no J.
     fulls = [n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "full"
              and isinstance(n.ctx, ast.Load)]
-    assert sorted(map(id, fulls)) == sorted(id(r.test) for r in records)
+    integrals = [n for n in ast.walk(func)
+                 if isinstance(n, ast.If) and isinstance(n.test, ast.Name) and n.test.id == "full"]
+    for block in integrals:
+        assert not block.orelse and all(
+            isinstance(stmt, ast.AugAssign) or isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            for stmt in block.body), ast.unparse(block)
+        targets = [stmt.target if isinstance(stmt, ast.AugAssign) else stmt.targets[0]
+                   for stmt in block.body]
+        assert {ast.unparse(n) for n in targets} == {"dtp", "r11", "r22", "r21", "tp"}, \
+            ast.unparse(block)
+    [ret] = [n for n in func.body if isinstance(n, ast.Return)]
+    jac = ret.value.args[3]
+    assert isinstance(jac, ast.IfExp) and ast.unparse(jac.test) == "full" \
+        and ast.unparse(jac.orelse) == "None", ast.unparse(jac)
+    assert integrals and sorted(map(id, fulls)) == sorted(
+        [*(id(r.test) for r in records), *(id(b.test) for b in integrals), id(jac.test)])
 
     def value(node, kind, queue):
         env = {**vars(simcore), "kind": kind, "queue": queue}
