@@ -21,7 +21,6 @@ import numpy as np
 from .scenario import OnOffSpec, gen_onoff
 from .simcore import (
     SIGNATURE,
-    JacobianEstimate,
     PhasePlan,
     PiecewiseConstantRate,
     ServiceProfile,
@@ -73,44 +72,6 @@ class GradCheckReport:
         return all(e.flagged for e in self.entries)
 
 
-def _window(scn: GradScenario, theta1: float, theta2: float):
-    plan = PhasePlan(scn.plan.c1, scn.plan.c2, theta1, theta2)
-    # The event signature: one code 4 * kind + queue per event, markers
-    # included; two runs' codes are equal exactly when their (kind, queue)
-    # pairs are, and no event tuple is built.
-    traj = simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
-                    scn.phi, scn.x0, scn.horizon, t0=scn.t0, log=SIGNATURE)
-    g1, g2 = traj.y
-    return g1, g2, traj.events
-
-
-def analytic_jacobian(scn: GradScenario) -> JacobianEstimate:
-    # Only the perturbed runs need a log, for their signatures.
-    return simulate(scn.arrivals1, scn.arrivals2_tilde, scn.plan, scn.service,
-                    scn.phi, scn.x0, scn.horizon, t0=scn.t0, log=False).jac
-
-
-def fd_jacobian(scn: GradScenario, h: float):
-    """Central differences of the window averages over each red duration.
-
-    Returns (fd11, fd21, fd12, fd22, col1_flagged, col2_flagged).  A
-    column is flagged when its two perturbed runs disagree on the event
-    signature, meaning the difference quotient straddles a kink.
-    """
-    th1, th2 = scn.plan.theta1, scn.plan.theta2
-    g1p, g2p, sp = _window(scn, th1 + h, th2)
-    g1m, g2m, sm = _window(scn, th1 - h, th2)
-    fd11 = (g1p - g1m) / (2.0 * h)
-    fd21 = (g2p - g2m) / (2.0 * h)
-    col1_flagged = sp != sm
-    g1p, g2p, sp = _window(scn, th1, th2 + h)
-    g1m, g2m, sm = _window(scn, th1, th2 - h)
-    fd12 = (g1p - g1m) / (2.0 * h)
-    fd22 = (g2p - g2m) / (2.0 * h)
-    col2_flagged = sp != sm
-    return fd11, fd21, fd12, fd22, col1_flagged, col2_flagged
-
-
 def _rel(analytic: float, fd: float) -> float:
     # The floor absorbs difference-quotient roundoff on entries that are
     # structurally zero; real sensitivities here are orders larger.
@@ -118,15 +79,32 @@ def _rel(analytic: float, fd: float) -> float:
 
 
 def grad_check(scn: GradScenario, h: float, tol: float) -> GradCheckReport:
-    jac = analytic_jacobian(scn)
-    fd11, fd21, fd12, fd22, f1, f2 = fd_jacobian(scn, h)
-    entries = (
-        EntryCheck("j11", jac.j11, fd11, _rel(jac.j11, fd11), f1),
-        EntryCheck("j21", jac.j21, fd21, _rel(jac.j21, fd21), f1),
-        EntryCheck("j12", jac.j12, fd12, _rel(jac.j12, fd12), f2),
-        EntryCheck("j22", jac.j22, fd22, _rel(jac.j22, fd22), f2),
-    )
-    return GradCheckReport(scn.name, entries, tol)
+    """Audit the window's J against central differences over each red duration.
+
+    Five runs: the nominal window, unlogged, gives J; theta1 + h, theta1 - h,
+    theta2 + h and theta2 - h, each logging only its event signature (one
+    code 4 * kind + queue per event, markers included), give the window
+    averages to difference.  A column is flagged when its two perturbed runs
+    disagree on the signature, meaning the difference quotient straddles a
+    kink.
+    """
+    def run(theta1: float, theta2: float, log: bool | str):
+        plan = PhasePlan(scn.plan.c1, scn.plan.c2, theta1, theta2)
+        return simulate(scn.arrivals1, scn.arrivals2_tilde, plan, scn.service,
+                        scn.phi, scn.x0, scn.horizon, t0=scn.t0, log=log)
+
+    th1, th2 = scn.plan.theta1, scn.plan.theta2
+    jac = run(th1, th2, False).jac
+    entries = []
+    for names, analytic, up, down in (
+            (("j11", "j21"), (jac.j11, jac.j21), (th1 + h, th2), (th1 - h, th2)),
+            (("j12", "j22"), (jac.j12, jac.j22), (th1, th2 + h), (th1, th2 - h))):
+        plus, minus = run(*up, SIGNATURE), run(*down, SIGNATURE)
+        flagged = plus.events != minus.events
+        for name, a, gp, gm in zip(names, analytic, plus.y, minus.y):
+            fd = (gp - gm) / (2.0 * h)
+            entries.append(EntryCheck(name, a, fd, _rel(a, fd), flagged))
+    return GradCheckReport(scn.name, tuple(entries), tol)
 
 
 def deterministic_scenarios() -> list[GradScenario]:

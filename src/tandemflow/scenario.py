@@ -360,9 +360,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    # utf-8-sig drops a byte-order mark, which would otherwise prefix the first key.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # A byte-order mark would otherwise prefix the first key.
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) is not UTF-8") from None
+    return parse_config(text)
 
 
 def config_text(cfg: ExperimentConfig) -> str:

@@ -151,7 +151,9 @@ class Event(NamedTuple):
 
     Only queue 2's BusyStart events record a trigger, the event that switched
     its net inflow positive, in trigger_kind / trigger_queue.  All other events
-    carry trigger_kind == -1, as does a busy start with no identified trigger.
+    carry trigger_kind == -1, as does a busy start with no identified trigger:
+    among them one in a window's first batch when queue 2 entered the window
+    idle on a net inflow already positive, which no event at t0 switched on.
 
     The log holds each event as a plain tuple of these values in field
     order, built inline by `simulate` with no constructor call;
@@ -434,7 +436,10 @@ def simulate(
     bs2 = b2 if busy2 else 0.0
 
     # The first batch applies the events at t0, before any motion; each
-    # pass ends by advancing to the next batch's epoch.
+    # pass ends by advancing to the next batch's epoch.  A queue 2 that
+    # fills there, on a net inflow already positive entering the window
+    # (pos2), records no trigger: no event at t0 switched its inflow on.
+    pos2 = phi * (b1 if busy1 else a1) + a2t - b2 > 0.0
     t = t0
     dt = 0.0
     empt1 = empt2 = at_end = False
@@ -568,6 +573,8 @@ def simulate(
             if not busy2 and (phi * (b1 if busy1 else a1) + a2t) - b2 > 0.0:
                 hit = busy2 = True
                 cs2, bs2, v22 = 0.0, b2, 0.0
+                if pos2:
+                    trig2k, trig2q = -1, 0
                 if trig2q == 1 and (trig2k == GREEN_START or trig2k == INTERNAL_RATE_JUMP):
                     # The onset rides theta1 one for one (else v21 is already 0.0).
                     v21 = -((phi * (b1 if busy1 else a1) + a2t) - b2)
@@ -575,6 +582,7 @@ def simulate(
                     append_event((t, BUSY_START, 2, x1, x2, busy1, True, green1, green2,
                                   a1, b1, b2, phi * (b1 if busy1 else a1) + a2t,
                                   trig2k, trig2q) if full else BUSY2)
+            pos2 = False
 
         q1 += 0.5 * (xl1 + x1) * dt
         q2 += 0.5 * (xl2 + x2) * dt

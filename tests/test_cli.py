@@ -60,6 +60,14 @@ class TestPrintConfig:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and "seed = 5\n" in outs[0]
 
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, tmp_path, capsys):
+        # Exit status 1 is the failed gradient audit's; a file that does not
+        # decode is a config error naming the file and the byte offset.
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 5\nphi = 0.8\xff\n")
+        assert main(["print-config", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"config error: {bad}: byte 18 (0xff) is not UTF-8\n"
+
 
 class TestRun:
     def test_reruns_are_byte_identical(self, tmp_path):

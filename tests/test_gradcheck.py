@@ -22,7 +22,6 @@ from tandemflow.oracle import (
     GradScenario,
     battery_ok,
     deterministic_scenarios,
-    fd_jacobian,
     grad_check,
     run_battery,
     stochastic_scenarios,
@@ -35,6 +34,7 @@ from tandemflow.simcore import (
     PiecewiseConstantRate,
     ServiceProfile,
     constant_rate,
+    simulate,
 )
 
 CONST5 = ServiceProfile(5.0, 5.0)
@@ -47,28 +47,32 @@ def single_cycle_scenario(theta2: float) -> GradScenario:
                         (0.0, 0.0), 0.0, 1.0)
 
 
+def entries_by_name(scn: GradScenario, h: float) -> dict:
+    """The audit's entries of one window, by name."""
+    return {e.entry: e for e in grad_check(scn, h, DEFAULT_DET_TOL).entries}
+
+
 class TestFiniteDifferences:
     def test_single_cycle_columns(self):
         # theta2 = 0.55 keeps the two green onsets apart; queue 1 never
         # sees theta2, so fd11 is the same 4/3 either way.
-        fd11, _, fd12, _, f1, f2 = fd_jacobian(single_cycle_scenario(0.55), 0.01)
-        assert not f1 and not f2
-        assert fd11 == pytest.approx(4.0 / 3.0, abs=1e-9)
-        assert fd12 == 0.0
+        e = entries_by_name(single_cycle_scenario(0.55), 0.01)
+        assert not e["j11"].flagged and not e["j12"].flagged
+        assert e["j11"].fd == pytest.approx(4.0 / 3.0, abs=1e-9)
+        assert e["j12"].fd == 0.0
         # At theta2 = 0.6 queue 2 drains dry exactly at the horizon, so the
         # theta2 nudge decides whether its emptying happens at all: that
         # column is one-sidedly kinked, flagged, and its quotient lands a
         # little under the true 2.
-        _, fd21, fd12b, fd22, f1, f2 = fd_jacobian(single_cycle_scenario(0.6), 0.01)
-        assert not f1 and f2
-        assert fd21 == pytest.approx(-4.0 / 3.0, abs=1e-9)
-        assert fd22 == pytest.approx(2.0, abs=0.05)
-        assert abs(fd12b) <= 1e-12
+        e = entries_by_name(single_cycle_scenario(0.6), 0.01)
+        assert not e["j11"].flagged and e["j12"].flagged
+        assert e["j21"].fd == pytest.approx(-4.0 / 3.0, abs=1e-9)
+        assert e["j22"].fd == pytest.approx(2.0, abs=0.05)
+        assert abs(e["j12"].fd) <= 1e-12
 
     def test_upstream_column_two_is_zero_everywhere(self):
         for scn in deterministic_scenarios()[:8]:
-            _, _, fd12, _, _, _ = fd_jacobian(scn, DEFAULT_DET_H)
-            assert abs(fd12) <= 1e-12
+            assert abs(entries_by_name(scn, DEFAULT_DET_H)["j12"].fd) <= 1e-12
 
 
 class TestBatteries:
@@ -231,6 +235,6 @@ class TestExactDerivative:
         # are both exactly zero.
         checked = 0
         for scn in deterministic_scenarios() + stochastic_scenarios():
-            jac = oracle.analytic_jacobian(scn)
+            jac = simulate(*window_args(scn), log=False).jac
             checked += assert_jacobian(jac, exact_jacobian(*window_args(scn)))
         assert checked >= 60  # all 64 hold

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from exact_reference import assert_jacobian, exact_jacobian
+from exact_reference import H, assert_jacobian, exact_jacobian, exact_window
 from test_fused_window import check_window, fused, named
 from tandemflow.simcore import (
     BUSY_START,
@@ -201,6 +201,43 @@ class TestCrossRules:
             "-0x1.147ae147ae148p+0", "0x1.0000000000000p+2", "0x1.2000000000000p+1",
             "0x1.6cccccccccccep+1")
         assert assert_jacobian(traj.jac, exact_jacobian(*args, 0.25)) == 1
+
+    @pytest.mark.parametrize("x0, a2t, trigger, side", [
+        ((0.0, 0.0), 0.5, (-1, 0), -1),
+        ((1.0, 0.0), 0.5, (-1, 0), -1),
+        ((1.0, 0.0), 0.0, (GREEN_START, 1), 1)])
+    def test_busy_start_at_t0_is_triggered_only_by_what_switched_it_on(self, x0, a2t,
+                                                                        trigger, side):
+        # Queue 1's green onset opens the window at t0 = 0.2.  With a2t = 0.5
+        # queue 2 enters idle on a positive net inflow, so it fills in the
+        # first batch whatever that batch applies, and the onset, which
+        # leaves the inflow positive, is no trigger: J is the derivative
+        # from the left, the onset moving before t0.  (As a trigger it gave
+        # j21 = -6.04, outside both one-sided derivatives.)  With a2t = 0
+        # and queue 1 busy behind its red, the inflow enters at 0 and the
+        # onset switches it on: J is the derivative from the right.  y2 is
+        # quadratic in theta1 on each side, so 2 D(h) - D(2h) of its
+        # one-sided differences D is exact.
+        args = window(0.2, 0.5, 6.0, a2t, phi=0.9, horizon=1.5, x0=x0)
+        traj = check_window(*args, 0.2)
+        assert [(ev.trigger_kind, ev.trigger_queue) for ev in named(traj)
+                if ev.kind == BUSY_START and ev.queue == 2] == [trigger]
+        th1 = Fraction(0.2)
+        y2 = [exact_window(*args, 0.2, (th1 + side * k * H, Fraction(0.5))).y[1]
+              for k in (0, 1, 2)]
+        one_sided = side * (2 * (y2[1] - y2[0]) / H - (y2[2] - y2[0]) / (2 * H))
+        assert traj.jac.j21 == pytest.approx(float(one_sided), rel=1e-12)
+
+    def test_first_batch_that_fills_nothing_leaves_later_triggers(self):
+        # Queue 2 enters idle on a positive net inflow, but its green onset
+        # at t0 = 0.5 turns it negative, so it fills only at queue 1's green
+        # onset at 0.7, which triggers its busy start and moves v21.
+        args = window(0.7, 0.5, 2.0, 1.0, phi=0.9, horizon=1.0, x0=(3.0, 0.0))
+        traj = check_window(*args, 0.5)
+        assert [(ev.epoch, ev.trigger_kind, ev.trigger_queue) for ev in named(traj)
+                if ev.kind == BUSY_START] == [(0.7, GREEN_START, 1)]
+        assert traj.jac.j21 == -0.30000000000000004
+        assert assert_jacobian(traj.jac, exact_jacobian(*args, 0.5)) == 1
 
     def test_busy_start_triggered_by_an_emptying_is_rejected(self):
         # An emptying of queue 1 lowers queue 2's inflow, so it never

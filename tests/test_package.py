@@ -51,6 +51,9 @@ def test_pruned_surface_stays_out():
         ["events", "x_end", "y", "jac"]
     # The loop threads theta and the gain as locals; e is read in its cycle.
     assert not hasattr(regulator, "ControllerState")
+    # One window's audit is one function, grad_check.
+    for name in ("_window", "analytic_jacobian", "fd_jacobian"):
+        assert not hasattr(oracle, name)
 
 
 def test_inputs_are_stated_once():
