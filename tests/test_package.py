@@ -93,9 +93,9 @@ def test_log_only_guards_appends():
     # nothing else: past the two set-up statements that check it and set
     # `full`, every read of it is the whole test of an `if log:` whose body
     # only appends.  So all three modes run one loop, and its float
-    # operations but for the busy run's Jacobian integrals, which only
-    # `full` guards (below).  Each append passes, when `full`, one plain
-    # tuple literal with a value for every field of Event, so no
+    # operations but for the Jacobian integrals, which only `ipa` guards and
+    # the signature pass skips (below).  Each append passes, when `full`,
+    # one plain tuple literal with a value for every field of Event, so no
     # constructor checks the count at run time, and otherwise the code
     # 4 * kind + queue of that tuple's kind and queue, a small int that
     # CPython caches.
@@ -124,27 +124,40 @@ def test_log_only_guards_appends():
                 and ast.unparse(record.test) == "full" and isinstance(record.body, ast.Tuple) \
                 and len(record.body.elts) == len(simcore.Event._fields), ast.unparse(stmt)
             records.append(record)
-    # Past the records, `full` is read by the tests of `if full:` blocks
-    # that only update the busy run's Jacobian integrals, which the
-    # signature pass skips, and by the return, which then gives no J.
+    # Past the records, `full` is read by the one assignment of `ipa`, which
+    # is false in the signature pass and while every IPA value is 0, and by
+    # the return, which then gives no J.  No `if full:` block is left.
     fulls = [n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "full"
              and isinstance(n.ctx, ast.Load)]
-    integrals = [n for n in ast.walk(func)
-                 if isinstance(n, ast.If) and isinstance(n.test, ast.Name) and n.test.id == "full"]
-    for block in integrals:
-        assert not block.orelse and all(
-            isinstance(stmt, ast.AugAssign) or isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-            for stmt in block.body), ast.unparse(block)
-        targets = [stmt.target if isinstance(stmt, ast.AugAssign) else stmt.targets[0]
-                   for stmt in block.body]
-        assert {ast.unparse(n) for n in targets} == {"dtp", "r11", "r22", "r21", "tp"}, \
-            ast.unparse(block)
+    [ipa_set] = [n for n in ast.walk(func) if isinstance(n, ast.Assign)
+                 and [ast.unparse(t) for t in n.targets] == ["ipa"]]
+    assert ast.unparse(ipa_set) == "ipa = full and (v11 != 0.0 or v22 != 0.0 or v21 != 0.0)"
     [ret] = [n for n in func.body if isinstance(n, ast.Return)]
     jac = ret.value.args[3]
     assert isinstance(jac, ast.IfExp) and ast.unparse(jac.test) == "full" \
         and ast.unparse(jac.orelse) == "None", ast.unparse(jac)
-    assert integrals and sorted(map(id, fulls)) == sorted(
-        [*(id(r.test) for r in records), *(id(b.test) for b in integrals), id(jac.test)])
+    assert sorted(map(id, fulls)) == sorted(
+        [*(id(r.test) for r in records), id(ipa_set.value.values[0]), id(jac.test)])
+    # `ipa` is read only as the whole test of `if ipa:` blocks that only
+    # update the Jacobian integrals and the epoch tp they reach; its other
+    # store is the False it starts at.
+    ipas = [n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == "ipa"]
+    integrals = [n for n in ast.walk(func)
+                 if isinstance(n, ast.If) and isinstance(n.test, ast.Name) and n.test.id in ("full", "ipa")]
+    for block in integrals:
+        assert block.test.id == "ipa" and not block.orelse and all(
+            isinstance(stmt, ast.AugAssign) or isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            for stmt in block.body), ast.unparse(block)
+        targets = [stmt.target if isinstance(stmt, ast.AugAssign) else stmt.targets[0]
+                   for stmt in block.body]
+        assert {"r11", "r22", "r21"} <= {ast.unparse(n) for n in targets} <= \
+            {"dtp", "r11", "r22", "r21", "tp"}, ast.unparse(block)
+    [ipa_init] = [n for n in ipas if isinstance(n.ctx, ast.Store) and n is not ipa_set.targets[0]]
+    assert integrals and sorted(map(id, ipas)) == sorted(
+        [*(id(b.test) for b in integrals), id(ipa_set.targets[0]), id(ipa_init)])
+    [init] = [n for n in ast.walk(func) if isinstance(n, ast.Assign)
+              and any(t is ipa_init for t in n.targets)]
+    assert ast.unparse(init.value) == "False"
 
     def value(node, kind, queue):
         env = {**vars(simcore), "kind": kind, "queue": queue}

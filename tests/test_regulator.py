@@ -16,7 +16,7 @@ from tandemflow.regulator import (
     run_closed_loop,
 )
 from tandemflow.scenario import ExperimentConfig, default_paper_config
-from tandemflow.simcore import JacobianEstimate
+from tandemflow.simcore import JacobianEstimate, PhasePlan, simulate
 
 WIDE_OPEN = GuardConfig(epsilon_j=1e-30, step_cap=(1e9, 1e9),
                         theta_min=(1e-12, 1e-12), theta_max=(1e12, 1e12))
@@ -116,6 +116,10 @@ class TestControlStep:
     def test_cap_preserves_direction(self):
         assert control_step((0.5, 0.5), (-10.0, 3.0), IDENTITY, GuardConfig()) == (0.25, 0.75)
 
+    def test_upward_cap_binds_inside_the_box(self):
+        # Raw step 0.5 -> cap 0.25; the capped theta1 stays inside the box.
+        assert control_step((0.3, 0.5), (0.5, 0.0), IDENTITY, GuardConfig()) == (0.3 + 0.25, 0.5)
+
 
 class TestClosedLoop:
     def test_zero_cycles_yield_empty_series(self):
@@ -188,6 +192,16 @@ class TestTrafficPlant:
                 assert guards.theta_min[i] <= rec.theta[i] <= guards.theta_max[i]
             assert rec.jac.j12 == 0.0
             assert math.isfinite(rec.y[0]) and math.isfinite(rec.y[1])
+
+    def test_one_cycle_per_window(self):
+        # The smallest window is one cycle of light 1: [0, c1) for cycle 1.
+        cfg = default_paper_config()
+        arr1, arr2 = cfg.arrival_pair(0)
+        theta = (cfg.theta1_init, cfg.theta2_init)
+        plant = make_traffic_plant(arr1, arr2, cfg.c1, cfg.c2, cfg.service_profile(), cfg.phi, 1)
+        traj = simulate(arr1, arr2, PhasePlan(cfg.c1, cfg.c2, *theta), cfg.service_profile(),
+                        cfg.phi, (0.0, 0.0), cfg.c1, log=False)
+        assert plant(theta, 1) == (traj.y, traj.jac)
 
     def test_rejects_zero_window(self):
         cfg = default_paper_config()

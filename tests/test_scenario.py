@@ -160,7 +160,7 @@ class TestOnOffGeneration:
             OnOffSpec(4.1, 1.0, 0.02, 0.063)
         with pytest.raises(ValueError):
             OnOffSpec(4.1, 0.3, 0.0, 0.063)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be positive"):
             gen_onoff(OnOffSpec(4.1, 0.3, 0.02, 0.063), 1, 0.0)
 
     def test_nonfinite_horizon_is_rejected_before_any_draw(self, monkeypatch):
